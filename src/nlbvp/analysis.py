@@ -1,14 +1,17 @@
 """Spectral and structural diagnostics of the assembled energy form.
 
-The nullspace of the form is the gauge freedom of the Neumann problem; the
+The nullspace of the form is the gauge freedom of the Neumann problem.  The
+form is a weighted graph Laplacian, so the nullspace is read off exactly from
+the connected components of its coupling graph, with no eigensolve.  The
 Friedrichs and Poincare constants are reciprocals of generalized eigenvalues
-of the form against mass diagonals.  All eigenvalue work goes through the
-deterministic inverse iteration in `linalg`.
+of the form against mass diagonals, each from one call of the shift-invert
+eigensolver in `linalg` (one factorization per pencil).
 
 The Poincare constant comes in two variants differing only in which mass
 diagonal appears on the left-hand side of the inequality:
 
 * ``variant="omega"``   : interior-mass norm (the defining inequality),
+  computed on the Kron reduction of the form to the interior;
 * ``variant="full"``    : interior+boundary mass norm (the mean-zero form).
 
 On finite node sets the two are simultaneously finite or infinite.
@@ -19,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import linalg
-from .errors import EigensolverFailure, EmptyGamma, NonPositiveC
+from .errors import EmptyGamma, NonPositiveC
 
 NULLSPACE_TOL_FACTOR = 1e-9  # default eigenvalue threshold: factor * largest diagonal
 MAX_PRINCIPLE_TOL = 1e-12
@@ -89,29 +94,47 @@ def _scaled_diag_max(matrix, masses):
 def nullspace(form, tol=None):
     """Basis of the numerical kernel of the form.
 
-    Eigenvectors of the mass-weighted problem M w = lambda D w with
-    lambda < tol, D = diag of masses over the interior+boundary ordering.
-    The default tolerance is NULLSPACE_TOL_FACTOR times the largest
-    mass-scaled diagonal entry.
+    The form is a weighted graph Laplacian on the interior+boundary nodes,
+    so its kernel is spanned by the indicators of the graph's connected
+    components.  A coupling a_ij is weak when |a_ij| (1/m_i + 1/m_j) < tol.
+    Weak couplings are dropped before the components are labelled, but only
+    at nodes whose weak couplings sum to less than tol: the dropped couplings
+    then move no eigenvalue of the pencil (form, masses) by tol or more, so
+    every returned direction has pencil quotient below tol, and a node held
+    only by such couplings counts as a kernel direction of its own.  The
+    count can fall short of the number of pencil eigenvalues below tol only
+    when the kept couplings form a graph whose own spectral gap is below
+    tol.  The default tolerance
+    is NULLSPACE_TOL_FACTOR times the largest mass-scaled diagonal entry.
+    Columns are the mass-normalized indicators, in the order of each
+    component's first node.
     """
     n = form.n
     if tol is None:
         tol = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.matrix, form.mass_diag), 1e-300)
     if tol <= 0.0:
         raise ValueError("nullspace tolerance must be positive")
-    values: list[float] = []
-    vectors = np.empty((n, 0))
-    while vectors.shape[1] < n:
-        lam, vec = linalg.smallest_eigenpairs(
-            form.matrix, form.mass_diag, count=1, deflate=vectors
-        )
-        if lam[0] >= tol:
-            break
-        values.append(lam[0])
-        vectors = np.column_stack([vectors, vec])
+    coupling = sp.triu(form.matrix, k=1).tocoo()
+    inverse_mass = 1.0 / form.mass_diag
+    weight = np.abs(coupling.data) * (inverse_mass[coupling.row] + inverse_mass[coupling.col])
+    weak = weight < tol
+    # by Cauchy-Schwarz the dropped couplings shift the pencil by at most the
+    # largest per-node sum of their weights
+    weak_sum = np.bincount(coupling.row[weak], weight[weak], n) + np.bincount(
+        coupling.col[weak], weight[weak], n
+    )
+    kept = ~weak | (weak_sum[coupling.row] >= tol) | (weak_sum[coupling.col] >= tol)
+    graph = sp.coo_matrix(
+        (np.ones(np.count_nonzero(kept)), (coupling.row[kept], coupling.col[kept])),
+        shape=(n, n),
+    )
+    k, labels = csgraph.connected_components(graph, directed=False)
+    vectors = np.zeros((n, k))
+    vectors[np.arange(n), labels] = 1.0
+    vectors /= np.sqrt(form.mass_diag @ vectors)
     return NullspaceBasis(
         vectors=vectors,
-        eigenvalues=np.array(values),
+        eigenvalues=np.zeros(k),
         tolerance=tol,
         domain=form.domain,
     )
@@ -160,95 +183,48 @@ def friedrichs_constant(form):
     return report
 
 
-def _trivial_poincare(form):
-    # the nullspace spans everything: the projected inequality holds with an
-    # arbitrarily small constant
-    return InequalityReport(constant=0.0, eigenvalue=np.inf, witness=np.zeros(form.n))
+def _gap_report(lam, witness, tolerance):
+    if lam.size == 0:
+        # the nullspace spans everything: the projected inequality holds with
+        # an arbitrarily small constant
+        return InequalityReport(constant=0.0, eigenvalue=np.inf, witness=witness)
+    if lam[0] <= tolerance:
+        return InequalityReport(constant=np.inf, eigenvalue=lam[0], witness=witness)
+    return InequalityReport(constant=1.0 / lam[0], eigenvalue=lam[0], witness=witness)
 
 
 def _poincare_full(form, basis):
-    if basis.dimension >= form.n:
-        return _trivial_poincare(form)
     lam, vec = linalg.smallest_eigenpairs(
         form.matrix, form.mass_diag, count=1, deflate=basis.vectors
     )
-    if lam[0] <= basis.tolerance:
-        return InequalityReport(constant=np.inf, eigenvalue=lam[0], witness=vec[:, 0])
-    return InequalityReport(constant=1.0 / lam[0], eigenvalue=lam[0], witness=vec[:, 0])
+    witness = vec[:, 0] if lam.size else np.zeros(form.n)
+    return _gap_report(lam, witness, basis.tolerance)
 
 
-def _poincare_omega(form, basis, maxiter=None):
+def _poincare_omega(form, basis):
     """Largest quotient (interior mass norm)^2 / B(v, v) over functions
-    interior-mass orthogonal to the nullspace, by power iteration with an
-    energy solve per step."""
-    n = form.n
-    if basis.dimension >= n:
-        return _trivial_poincare(form)
+    interior-mass orthogonal to the nullspace, by Kron reduction.
+
+    Boundary nodes never interact, so the boundary block of the form is
+    diagonal.  Eliminating it leaves the Schur complement
+    S = A_oo - A_og diag(A_gg)^{-1} A_go on the interior, and v^T S v is the
+    least energy of any function with interior values v.  The constant is
+    1 / lambda, lambda the smallest eigenvalue of (S, interior masses) on the
+    interior-mass complement of the nullspace's interior part; the witness
+    extends the eigenvector to the boundary by that energy minimizer.
+    """
     m = form.domain.m
-    d_omega = form.mass_diag.copy()
-    d_omega[m:] = 0.0
-    matrix = form.matrix
-    w = basis.vectors
-
-    if basis.dimension:
-        gram = w.T @ (d_omega[:, None] * w)
-        q_euclid, _ = np.linalg.qr(w)
-
-        def onto_complement(z):
-            coeff = np.linalg.solve(gram, w.T @ (d_omega * z))
-            return z - w @ coeff
-
-        def onto_range(z):
-            return z - q_euclid @ (q_euclid.T @ z)
-    else:
-        def onto_complement(z):
-            return z
-
-        def onto_range(z):
-            return z
-
-    if maxiter is None:
-        maxiter = max(10 * n, 100)
-    best = None
-    for start in linalg.start_vectors(n, 0):
-        z = onto_complement(start.copy())
-        if np.linalg.norm(z) < 1e-10:
-            continue
-        theta_prev, theta, witness, stalls = None, 0.0, z, 0
-        for _ in range(maxiter):
-            rhs = onto_range(d_omega * z)
-            if np.linalg.norm(rhs) == 0.0:
-                theta, witness = 0.0, z
-                break
-            y, _, _ = linalg.conjugate_gradient(
-                matrix, rhs, tol=1e-13, project=onto_range
-            )
-            z = onto_complement(y)
-            norm = np.linalg.norm(z)
-            if norm == 0.0:
-                theta, witness = 0.0, z
-                break
-            z /= norm
-            energy = float(z @ (matrix @ z))
-            mass = float(z @ (d_omega * z))
-            theta, witness = mass / energy, z
-            if theta_prev is not None and abs(theta - theta_prev) <= 1e-13 * max(theta, 1.0):
-                stalls += 1
-                if stalls >= 2:
-                    break
-            else:
-                stalls = 0
-            theta_prev = theta
-        else:
-            raise EigensolverFailure("power iteration for the interior-norm constant stalled")
-        if best is None or theta > best[0]:
-            best = (theta, witness)
-    if best is None:
-        raise EigensolverFailure("no admissible start vector for the interior-norm constant")
-    theta, witness = best
-    if theta <= 0.0:
-        return InequalityReport(constant=0.0, eigenvalue=np.inf, witness=witness)
-    return InequalityReport(constant=theta, eigenvalue=1.0 / theta, witness=witness)
+    diag = form.matrix.diagonal()[m:]
+    # a boundary node with no coupling left has an empty column in A_og
+    inverse_gg = sp.diags(np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0))
+    coupling = form.gamma_block
+    schur = (form.omega_block - coupling @ inverse_gg @ coupling.T).tocsr()
+    lam, vec = linalg.smallest_eigenpairs(
+        schur, form.mass_omega, count=1, deflate=basis.vectors[:m]
+    )
+    interior = vec[:, 0] if lam.size else np.zeros(m)
+    witness = np.concatenate([interior, -(inverse_gg @ (coupling.T @ interior))])
+    return _gap_report(lam, witness, basis.tolerance)
 
 
 def poincare_constant(form, basis, variant="full"):

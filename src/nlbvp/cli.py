@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,8 +34,6 @@ from .solvers import (
     solve_neumann,
     solve_regularized,
 )
-
-THREAD_ENV_VAR = "NLBVP_BENCH_THREADS"
 
 
 def _parse_step(text):
@@ -146,20 +142,19 @@ def _bench_one(d, h, exact_kind):
     basis = analysis.nullspace(form)
     friedrichs = analysis.friedrichs_constant(form)
     poincare = analysis.poincare_constant(form, basis, variant="full")
-    rows = poisson.convergence_study(
-        d, *_manufactured(d, exact_kind), h_list=[h]
-    )
+    error, solution = poisson.manufactured_solve(grid, form, *_manufactured(d, exact_kind))
     runtime = (time.perf_counter() - start) * 1000.0
-    return {
+    row = {
         "h": h,
         "m": grid.m,
         "l": grid.l,
-        "max_error": rows[0].max_error,
+        "max_error": error,
         "order": float("nan"),
         "friedrichs_C": friedrichs.constant,
         "poincare_C": poincare.constant,
         "runtime_ms": runtime,
     }
+    return row, grid, solution
 
 
 def _manufactured(d, kind):
@@ -184,28 +179,20 @@ def cmd_bench(args):
         raise DocumentError(f"cannot parse step list {args.h!r}: {exc}") from exc
     if not h_list:
         raise DocumentError("empty step list")
-    threads = int(os.environ.get(THREAD_ENV_VAR, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda h: _bench_one(args.d, h, args.exact), h_list))
-    else:
-        rows = [_bench_one(args.d, h, args.exact) for h in h_list]
+    rows = []
+    for h in h_list:
+        row, grid, solution = _bench_one(args.d, h, args.exact)
+        rows.append(row)
+        if args.plot_prefix:
+            fileio.write_solution_table(
+                solution, grid.domain, grid.measure, f"{args.plot_prefix}_h{h:.6g}.tsv"
+            )
     for i in range(1, len(rows)):
         prev, cur = rows[i - 1]["max_error"], rows[i]["max_error"]
         if prev > 0 and cur > 0:
             rows[i]["order"] = float(np.log2(prev / cur))
     text = fileio.write_bench_report(rows)
     _emit(text, args.out)
-    if args.plot_prefix:
-        for row, h in zip(rows, h_list):
-            grid = poisson.unit_cube_grid(args.d, h)
-            form = assemble_form(grid.kernel, grid.measure, grid.domain)
-            exact_u, exact_f = _manufactured(args.d, args.exact)
-            f = np.array([exact_f(p) for p in grid.measure.points[grid.domain.omega]])
-            solution = solve_dirichlet(DirichletProblem(form, f, np.zeros(grid.l)))
-            fileio.write_solution_table(
-                solution, grid.domain, grid.measure, f"{args.plot_prefix}_h{h:.6g}.tsv"
-            )
     return 0
 
 

@@ -1,13 +1,14 @@
-"""Deterministic iterative linear algebra used by the solvers and diagnostics.
+"""Deterministic linear algebra used by the solvers and diagnostics.
 
 Two workhorses live here:
 
 * a conjugate-gradient loop for symmetric positive (semi-)definite systems,
   with an optional per-iteration projection hook that keeps iterates inside
   an invariant subspace (used to pin down the gauge of singular systems);
-* a shifted inverse iteration for the smallest eigenpairs of the generalized
-  symmetric problem A v = lambda D v with diagonal positive D, with deflation
-  against already-found vectors and deterministic start vectors.
+* the package's one eigensolver, for the smallest eigenpairs of the
+  generalized symmetric problem A v = lambda D v with diagonal positive D:
+  one sparse LU factorization of the shifted pencil per call, handed to
+  ARPACK's shift-invert Lanczos, with deflation against a given subspace.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
 """
@@ -15,12 +16,11 @@ Everything is deterministic: fixed start vectors, no randomized restarts.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolverFailure, NoConvergence
-
-EIGEN_RESIDUAL_FACTOR = 1e-12  # convergence: ||A v - lambda v|| <= factor * ||A||
 
 
 def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=None):
@@ -100,82 +100,17 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
     )
 
 
-def start_vectors(n, index):
-    """Deterministic start vectors: all-ones, then coordinate perturbations."""
-    ones = np.ones(n)
-    ramp = np.arange(1.0, n + 1.0)
-    bump = np.ones(n)
-    bump[index % n] += float(n)
-    bump[(2 * index + 1) % n] -= 0.5
-    return (ones, bump, ramp)
-
-
-def _run_inverse_iteration(b, base_solver, deflated, start, norm_b, res_tol, maxiter):
-    """One inverse-iteration run: fixed-shift warm-up, then Rayleigh-quotient
-    shift refinement with refactorization.  Returns (lambda, vector) or None."""
-    n = b.shape[0]
-    y = deflated(start.copy())
-    norm = np.linalg.norm(y)
-    if norm < 1e-10:
-        return None
-    y /= norm
-    lam = float(y @ (b @ y))
-    iterations = 0
-    warmup_cap = min(40, maxiter)
-    while iterations < warmup_cap:
-        y = deflated(base_solver.solve(y))
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return None
-        y /= norm
-        by = b @ y
-        lam = float(y @ by)
-        residual = float(np.linalg.norm(deflated(by - lam * y)))
-        iterations += 1
-        if residual <= res_tol:
-            return lam, y
-        if iterations >= 3 and residual <= 1e-2 * max(abs(lam), 1e-3 * norm_b):
-            break
-    sigma = lam
-    identity = sp.identity(n, format="csr")
-    for _ in range(60):
-        if iterations >= maxiter:
-            break
-        try:
-            solver = spla.splu((b - sigma * identity).tocsc())
-        except RuntimeError:
-            sigma += res_tol + 1e-8 * max(abs(sigma), norm_b)
-            continue
-        for _ in range(3):
-            z = deflated(solver.solve(y))
-            norm = np.linalg.norm(z)
-            if norm == 0.0 or not np.all(np.isfinite(z)):
-                break
-            y = z / norm
-            by = b @ y
-            lam = float(y @ by)
-            residual = float(np.linalg.norm(deflated(by - lam * y)))
-            iterations += 1
-            if residual <= res_tol:
-                return lam, y
-            if iterations >= maxiter:
-                break
-        sigma = lam
-    return None
-
-
 def smallest_eigenpairs(matrix, masses, count=1, deflate=None, maxiter=None):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
-    Works on the mass-scaled matrix B = D^{-1/2} A D^{-1/2}.  Each eigenpair
-    runs shifted inverse iteration: a fixed small positive diagonal shift
-    biases the warm-up toward the low end of the spectrum, then the shift
-    tracks the Rayleigh quotient for fast local convergence.  Already-found
-    vectors (and any supplied in `deflate`, D-orthonormal columns) are
-    projected out of every iterate.  Each eigenpair is attempted from several
-    deterministic start vectors and the smallest converged Rayleigh quotient
-    wins, which guards against a start accidentally orthogonal to the target
-    eigenvector.
+    Works on the mass-scaled matrix B = D^{-1/2} A D^{-1/2}, restricted to the
+    D-orthogonal complement of the columns of `deflate` (which should span an
+    invariant subspace, such as a nullspace).  The shifted matrix B + s I,
+    with s a small positive multiple of ||B||, is factored once by `splu`, and
+    ARPACK's shift-invert Lanczos (`eigsh`, sigma = -s) runs on that
+    factorization from a fixed start vector.  ARPACK needs `count` below the
+    dimension of the searched space minus one; otherwise a dense `eigh` of
+    the compressed matrix answers.
 
     Returns
     -------
@@ -183,45 +118,39 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, maxiter=None):
         Eigenvalues ascending; vectors D-orthonormal, one column each.
     """
     n = matrix.shape[0]
-    count = min(count, n)
     scale = 1.0 / np.sqrt(masses)
     scaling = sp.diags(scale)
-    b = (scaling @ matrix @ scaling).tocsr()
-    norm_b = float(abs(b).sum(axis=1).max()) if b.nnz else 0.0
-    res_tol = EIGEN_RESIDUAL_FACTOR * norm_b + 1e-300
-    shift = 1e-6 * norm_b + 1e-30
-    base_solver = spla.splu((b + shift * sp.identity(n, format="csr")).tocsc())
-    if maxiter is None:
-        maxiter = max(10 * n, 100)
+    b = (scaling @ matrix @ scaling).tocsc()
+    if deflate is None:
+        q = np.empty((n, 0))
+    else:  # orthonormal in the scaled coordinates; drops dependent columns
+        q = scipy.linalg.orth(np.reshape(deflate, (n, -1)) / scale[:, None])
+    free = n - q.shape[1]
+    count = min(count, free)
+    if count >= free - 1:
+        complement = scipy.linalg.null_space(q.T)
+        values, vectors = scipy.linalg.eigh(complement.T @ (b @ complement))
+        values, vectors = values[:count], complement @ vectors[:, :count]
+    else:
+        shift = 1e-6 * spla.norm(b, np.inf) + 1e-30
+        factor = spla.splu(b + shift * sp.identity(n, format="csc"))
 
-    basis = []  # Euclid-orthonormal in the scaled coordinates
-    if deflate is not None:
-        deflate = np.asarray(deflate, dtype=float)
-        if deflate.ndim == 1:
-            deflate = deflate[:, None]
-        for col in range(deflate.shape[1]):
-            basis.append(deflate[:, col] / scale)
+        def project(x):
+            return x - q @ (q.T @ x)
 
-    def deflated(y):
-        for q in basis:
-            y = y - (q @ y) * q
-        return y
-
-    values, vectors = [], []
-    for j in range(count):
-        best = None
-        for start in start_vectors(n, j + len(basis)):
-            result = _run_inverse_iteration(
-                b, base_solver, deflated, start, norm_b, res_tol, maxiter
+        inverse = spla.LinearOperator(
+            (n, n), matvec=lambda x: project(factor.solve(project(x))), dtype=float
+        )
+        start = project(np.random.default_rng(0).standard_normal(n))
+        try:
+            values, vectors = spla.eigsh(
+                b, k=count, sigma=-shift, OPinv=inverse, v0=start,
+                ncv=min(free, max(2 * count + 1, 20)), maxiter=maxiter,
             )
-            if result is not None and (best is None or result[0] < best[0] - res_tol):
-                best = result
-        if best is None:
+        except spla.ArpackError as exc:
             raise EigensolverFailure(
-                f"inverse iteration failed on eigenpair {j + 1} within {maxiter} iterations"
-            )
-        basis.append(best[1])
-        values.append(best[0])
-        vectors.append(best[1] * scale)
-    order = np.argsort(values)  # clustered pairs may be discovered out of order
-    return np.array(values)[order], np.column_stack(vectors)[:, order]
+                f"shift-invert Lanczos failed on {count} eigenpairs of a size-{n} pencil: {exc}"
+            ) from exc
+        order = np.argsort(values)
+        values, vectors = values[order], vectors[:, order]
+    return values, vectors * scale[:, None]

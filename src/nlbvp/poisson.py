@@ -187,13 +187,29 @@ def build_stiffness(grid):
     )
 
 
+def manufactured_solve(grid, form, exact_u, exact_f, solve_tol=1e-13):
+    """Dirichlet solve on a built grid and form against a manufactured solution.
+
+    exact_u must vanish on the cube boundary (checked on the boundary
+    nodes); the load is sampled from exact_f at the interior nodes.
+    Returns (max-norm error over the interior, solution).
+    """
+    pts_omega = grid.measure.points[grid.domain.omega]
+    pts_gamma = grid.measure.points[grid.domain.gamma]
+    trace = np.array([exact_u(p) for p in pts_gamma])
+    if np.any(np.abs(trace) > 1e-12):
+        raise ValueError("exact_u must vanish on the cube boundary")
+    f = np.array([exact_f(p) for p in pts_omega])
+    solution = solve_dirichlet(DirichletProblem(form, f, np.zeros(grid.l)), tol=solve_tol)
+    reference = np.array([exact_u(p) for p in pts_omega])
+    return float(np.max(np.abs(solution.u[: grid.m] - reference))), solution
+
+
 def convergence_study(d, exact_u, exact_f, h_list, solve_tol=1e-13):
     """Dirichlet solves against a manufactured solution over decreasing steps.
 
-    exact_u must vanish on the cube boundary (checked on the boundary
-    nodes); the load is sampled from exact_f at the interior nodes.  Errors
-    are max-norm over the interior; the observed order compares consecutive
-    steps.
+    Each step builds its grid and form and runs `manufactured_solve`; the
+    observed order compares consecutive steps.
     """
     h_list = list(h_list)
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
@@ -203,17 +219,7 @@ def convergence_study(d, exact_u, exact_f, h_list, solve_tol=1e-13):
     for h in h_list:
         grid = unit_cube_grid(d, h)
         form = assemble_form(grid.kernel, grid.measure, grid.domain)
-        pts_omega = grid.measure.points[grid.domain.omega]
-        pts_gamma = grid.measure.points[grid.domain.gamma]
-        trace = np.array([exact_u(p) for p in pts_gamma])
-        if np.any(np.abs(trace) > 1e-12):
-            raise ValueError("exact_u must vanish on the cube boundary")
-        f = np.array([exact_f(p) for p in pts_omega])
-        solution = solve_dirichlet(
-            DirichletProblem(form, f, np.zeros(grid.l)), tol=solve_tol
-        )
-        reference = np.array([exact_u(p) for p in pts_omega])
-        error = float(np.max(np.abs(solution.u[: grid.m] - reference)))
+        error, _ = manufactured_solve(grid, form, exact_u, exact_f, solve_tol)
         order = math.log2(prev_error / error) if prev_error is not None and error > 0 else float("nan")
         rows.append(StudyRow(h=h, max_error=error, order=order))
         prev_error = error

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nlbvp import (
     AtomicMeasure,
@@ -51,6 +52,26 @@ def square_setup(h):
     grid = unit_cube_grid(2, h)
     form = assemble_form(grid.kernel, grid.measure, grid.domain)
     return grid, form
+
+
+def dense_omega_constant(form):
+    """Independent route to the interior-norm constant: reduce to the
+    orthogonal complement of the kernel and take the largest pencil quotient."""
+    matrix = form.matrix.toarray()
+    masses = form.mass_diag
+    m = form.domain.m
+    d_omega = np.zeros_like(masses)
+    d_omega[:m] = masses[:m]
+    vals, vecs = scipy.linalg.eigh(matrix, np.diag(masses))
+    kernel = vecs[:, vals < 1e-9 * np.max(matrix.diagonal())]
+    if kernel.shape[1] == 0:
+        basis_s = np.eye(matrix.shape[0])
+    else:
+        basis_s = scipy.linalg.null_space(kernel.T * d_omega)
+    a = basis_s.T @ (d_omega[:, None] * basis_s)
+    b = basis_s.T @ matrix @ basis_s
+    quotients = scipy.linalg.eigh(a, b, eigvals_only=True)
+    return float(quotients[-1])
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlbvp import (
@@ -26,6 +28,7 @@ from nlbvp.analysis import NullspaceBasis
 from nlbvp.errors import EmptyGamma, NonPositiveC
 
 from conftest import (
+    dense_omega_constant,
     disconnected_setup,
     interleaved_setup,
     interval_setup,
@@ -39,26 +42,6 @@ def dense_kernel_dimension(form, tol):
         form.matrix.toarray(), np.diag(form.mass_diag), eigvals_only=True
     )
     return int(np.sum(vals < tol))
-
-
-def dense_omega_constant(form):
-    """Independent route to the interior-norm constant: reduce to the
-    orthogonal complement of the kernel and take the largest pencil quotient."""
-    matrix = form.matrix.toarray()
-    masses = form.mass_diag
-    m = form.domain.m
-    d_omega = np.zeros_like(masses)
-    d_omega[:m] = masses[:m]
-    vals, vecs = scipy.linalg.eigh(matrix, np.diag(masses))
-    kernel = vecs[:, vals < 1e-9 * np.max(matrix.diagonal())]
-    if kernel.shape[1] == 0:
-        basis_s = np.eye(matrix.shape[0])
-    else:
-        basis_s = scipy.linalg.null_space(kernel.T * d_omega)
-    a = basis_s.T @ (d_omega[:, None] * basis_s)
-    b = basis_s.T @ matrix @ basis_s
-    quotients = scipy.linalg.eigh(a, b, eigvals_only=True)
-    return float(quotients[-1])
 
 
 # -- nullspace -------------------------------------------------------------------
@@ -99,6 +82,26 @@ def test_nullspace_zero_kernel_spans_everything():
     form = assemble_form(kernel, measure, domain)
     basis = nullspace(form, tol=1e-12)
     assert basis.dimension == 3
+
+
+@pytest.mark.parametrize("weak_links, expected_dim", [(1, 2), (3, 1)])
+def test_nullspace_weak_couplings_bounded_per_node(weak_links, expected_dim):
+    # nodes 1..3 form a strong triangle; node 0 hangs on weak_links couplings,
+    # each 0.6 tol on its own: one is dropped, three sum past tol and are kept
+    weak = 1e-6
+    strong = [(j, 1.0) for j in (1, 2, 3)]
+    support = [[(j, weak) for j in range(1, 1 + weak_links)]] + [
+        [(j, w) for j, w in strong if j != i] + ([(0, weak)] if i <= weak_links else [])
+        for i in (1, 2, 3)
+    ]
+    measure = AtomicMeasure([[float(i)] for i in range(4)])
+    kernel = TransitionKernel(support, "quadrature")
+    form = assemble_form(kernel, measure, nonlocal_boundary(kernel, [0, 1], measure))
+    coupling = abs(form.matrix[form.domain.position(0), form.domain.position(1)])
+    tol = 2.0 * coupling / 0.6
+    basis = nullspace(form, tol=tol)
+    assert basis.dimension == expected_dim
+    assert basis.dimension == dense_kernel_dimension(form, tol)
 
 
 def test_nullspace_vectors_annihilate_form(rng):
@@ -214,7 +217,11 @@ def test_poincare_flags_infinite_on_truncated_basis():
 
 
 def test_poincare_omega_matches_dense_oracle():
-    for setup in (lambda: interval_setup(0.25), lambda: square_setup(0.5)):
+    for setup in (
+        lambda: interval_setup(0.25),
+        lambda: square_setup(0.5),
+        lambda: square_setup(1.0 / 32.0),
+    ):
         _, form = setup()
         basis = nullspace(form)
         report = poincare_constant(form, basis, variant="omega")
@@ -240,6 +247,66 @@ def test_poincare_variants_simultaneously_finite():
         full = poincare_constant(form, basis, variant="full")
         omega = poincare_constant(form, basis, variant="omega")
         assert np.isfinite(full.constant) == np.isfinite(omega.constant)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Symmetric node weights W (each 0 or in [1e-3, 1]), masses and an
+    interior set; the kernel is K(i, {j}) = W_ij / m_i."""
+    n = draw(st.integers(2, 12))
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+            weights[i, j] = weights[j, i] = w
+    masses = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return weights, masses, omega
+
+
+def dense_gap_constant(matrix, masses, skip, tol):
+    """1 / (eigenvalue number skip+1) of the dense pencil, inf below tol,
+    0 when the pencil has no eigenvalue beyond the first skip."""
+    vals = scipy.linalg.eigh(matrix.toarray(), np.diag(masses), eigvals_only=True)
+    if skip >= vals.size:
+        return 0.0
+    return np.inf if vals[skip] <= tol else 1.0 / vals[skip]
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_graphs())
+def test_spectral_layer_matches_dense_on_random_graphs(graph):
+    weights, masses, omega = graph
+    n = len(masses)
+    measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
+    support = [
+        [(j, weights[i, j] / masses[i]) for j in range(n) if weights[i, j] > 0.0]
+        for i in range(n)
+    ]
+    domain = nonlocal_boundary(TransitionKernel(support, "quadrature"), omega, measure)
+    form = assemble_form(TransitionKernel(support, "quadrature"), measure, domain)
+    # the dense oracles scale their thresholds by the matrix: a zero form has none
+    assume(form.matrix.diagonal().max() > 0.0)
+    basis = nullspace(form)
+    off_diagonal = np.abs((form.matrix - np.diag(form.matrix.diagonal())).data)
+    assert np.all((off_diagonal == 0.0) | (off_diagonal >= 1e3 * basis.tolerance))
+
+    assert basis.dimension == dense_kernel_dimension(form, basis.tolerance)
+    omega_tol = 1e-9 * max(np.max(form.omega_block.diagonal() / form.mass_omega), 1e-300)
+    expected = {
+        "friedrichs": dense_gap_constant(form.omega_block, form.mass_omega, 0, omega_tol),
+        "full": dense_gap_constant(form.matrix, form.mass_diag, basis.dimension, basis.tolerance),
+        "omega": dense_omega_constant(form),
+    }
+    reports = {
+        "friedrichs": friedrichs_constant(form),
+        "full": poincare_constant(form, basis, variant="full"),
+        "omega": poincare_constant(form, basis, variant="omega"),
+    }
+    for name, report in reports.items():
+        assert report.constant == pytest.approx(expected[name], rel=1e-8, abs=1e-300), name
+    for variant in ("full", "omega"):
+        assert poincare_constant(form, basis, variant=variant).constant == reports[variant].constant
 
 
 # -- strong Poincare check ---------------------------------------------------------

@@ -168,6 +168,36 @@ def test_diagnose_interleaved_lattice(tmp_path, capsys):
     assert record["nullspace_dim"] == 2
 
 
+@pytest.mark.parametrize("n_axis", [32, 64])
+def test_diagnose_unit_square(tmp_path, n_axis):
+    from conftest import dense_omega_constant, square_setup
+
+    axis = range(n_axis + 1)
+    data = {
+        "family": "stencil",
+        "dimension": 2,
+        "h": 1.0 / n_axis,
+        "nodes": [[i / n_axis, j / n_axis] for i in axis for j in axis],
+        "omega": [
+            i * (n_axis + 1) + j for i in axis for j in axis
+            if 0 < i < n_axis and 0 < j < n_axis
+        ],
+    }
+    path = write_doc(tmp_path, "doc.json", data)
+    outputs = [str(tmp_path / f"report{k}.json") for k in range(2)]
+    for out in outputs:
+        assert cli.main(["diagnose", path, "--out", out]) == 0
+    first, second = (open(out, "rb").read() for out in outputs)
+    assert first == second
+    record = json.loads(first)
+    assert record["nullspace_dim"] == 1
+    assert isinstance(record["poincare_constant_omega"], float)
+    if n_axis == 32:
+        _, form = square_setup(1.0 / n_axis)
+        expected = dense_omega_constant(form)
+        assert record["poincare_constant_omega"] == pytest.approx(expected, rel=1e-8)
+
+
 def test_diagnose_graph_document(tmp_path, capsys):
     data = {
         "family": "graph",
@@ -269,14 +299,6 @@ def test_nodes_with_masses(tmp_path):
     np.testing.assert_allclose(doc.measure.masses, [0.5, 2.0, 0.5])
     # kernel weights carry the target mass as quadrature weight
     assert dict(doc.kernel.entries(1)) == {0: 0.5, 2: 0.5}
-
-
-def test_bench_thread_fanout(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREAD_ENV_VAR, "2")
-    assert cli.main(["bench", "--d", "1", "--h", "1/4,1/8", "--exact", "quadratic"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3  # header + one row per step
-    assert float(lines[1].split("\t")[0]) == 0.25
 
 
 # -- formatting helpers --------------------------------------------------------------
