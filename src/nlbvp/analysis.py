@@ -261,33 +261,16 @@ def trace_weight(kernel, domain, variant="sufficient", c=None):
     "sufficient": w(y) = K(y, Omega).
     "necessary":  w(y) = sum_{s in Omega} K(y,{s}) / (K(s, Gamma) + c), c > 0.
     """
-    omega_set = set(int(i) for i in domain.omega)
-    gamma_set = set(int(i) for i in domain.gamma)
+    to_omega = kernel.matrix[domain.gamma][:, domain.omega]
     if variant == "sufficient":
-        values = np.array(
-            [
-                sum(w for t, w in kernel.entries(int(y)) if t in omega_set)
-                for y in domain.gamma
-            ]
-        )
+        values = to_omega @ np.ones(domain.m)
         return TraceWeight(values=values, variant=variant, c=None, domain=domain)
     if variant == "necessary":
         if c is None or c <= 0.0:
             raise NonPositiveC("the necessary trace weight needs a constant c > 0")
-        k_to_gamma = {
-            int(s): sum(w for t, w in kernel.entries(int(s)) if t in gamma_set)
-            for s in domain.omega
-        }
-        values = np.array(
-            [
-                sum(
-                    w / (k_to_gamma[int(t)] + c)
-                    for t, w in kernel.entries(int(y))
-                    if t in omega_set
-                )
-                for y in domain.gamma
-            ]
-        )
+        k_to_gamma = kernel.matrix[domain.omega][:, domain.gamma] @ np.ones(domain.l)
+        to_omega.data = to_omega.data / (k_to_gamma + c)[to_omega.indices]
+        values = to_omega @ np.ones(domain.m)
         return TraceWeight(values=values, variant=variant, c=float(c), domain=domain)
     raise ValueError(f"unknown trace-weight variant {variant!r}")
 
@@ -353,13 +336,9 @@ def friedrichs_chain_holds(kernel, domain, measure, partition):
         cells.append(ids)
     if covered != omega_set:
         raise ValueError("partition must cover the interior")
-    gamma_set = set(int(i) for i in domain.gamma)
-    previous = gamma_set
+    previous = domain.gamma
     for ids in cells:
-        alpha = min(
-            sum(w for t, w in kernel.entries(x) if t in previous) for x in sorted(ids)
-        )
-        if alpha <= 0.0:
+        if np.min(kernel.matrix[sorted(ids)][:, sorted(previous)].sum(axis=1)) <= 0.0:
             return False
         previous = ids
     return True

@@ -9,8 +9,14 @@ where the outer sum runs over interior nodes only; boundary-boundary
 interactions contribute nothing.  Node functions are plain numpy vectors in
 the domain's canonical ordering (interior block first, boundary block last).
 
-Assembly touches every unordered node pair once and writes both matrix
-triangles with the same float, so the assembled matrix is exactly symmetric.
+Assembly is a sparse-matrix expression over W = diag(mass) K restricted to
+the canonical ordering: the coupling matrix
+
+    C = [[(W_oo + W_oo^T) / 2, W_og], [W_og^T, 0]]
+
+is symmetric entry by entry, and the form matrix A = diag(C 1) - C inherits
+that, so the assembled matrix is exactly symmetric.  The pointwise operators
+and residuals sum the atoms w (u_x - u_y) of each row of K.
 """
 
 from __future__ import annotations
@@ -70,33 +76,10 @@ def assemble_form(kernel, measure, domain):
             f"kernel symmetry defect {defect:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}"
         )
     m, n = domain.m, domain.n
-    omega_pairs: dict[tuple[int, int], float] = {}
-    coupling_pairs: dict[tuple[int, int], float] = {}
-    for x in domain.omega:
-        px = domain.position(x)
-        mx = measure.masses[x]
-        for t, w in kernel.entries(int(x)):
-            pt = domain.local(t)
-            if pt is None:
-                continue  # exterior target: possible only within the defect tolerance
-            if pt < m:
-                key = (min(px, pt), max(px, pt))
-                omega_pairs[key] = omega_pairs.get(key, 0.0) + mx * w
-            else:
-                key = (px, pt)
-                coupling_pairs[key] = coupling_pairs.get(key, 0.0) + mx * w
-    rows, cols, vals = [], [], []
-
-    def add_pair(i, j, c):
-        rows.extend((i, j, i, j))
-        cols.extend((i, j, j, i))
-        vals.extend((c, c, -c, -c))
-
-    for (i, j), acc in omega_pairs.items():
-        add_pair(i, j, 0.5 * acc)  # acc holds both ordered contributions
-    for (i, j), c in coupling_pairs.items():
-        add_pair(i, j, c)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    interior = (sp.diags(measure.masses) @ kernel.matrix)[domain.omega]
+    w_oo, w_og = interior[:, domain.omega], interior[:, domain.gamma]
+    coupling = sp.bmat([[0.5 * (w_oo + w_oo.T), w_og], [w_og.T, None]], format="csr")
+    matrix = (sp.diags(coupling @ np.ones(n)) - coupling).tocsr()
     masses = measure.masses[domain.order]
     return AssembledForm(
         matrix=matrix,
@@ -123,23 +106,38 @@ def bilinear(form, u, v):
     return float(v @ (form.matrix @ u))
 
 
+def _edges(kernel, domain, nodes):
+    """Atoms (x, y, K(x,{y})) of the given nodes in CSR order, as local indices:
+    all atoms of interior nodes (refused if one reaches an exterior node, where
+    the node function is undefined) and the boundary nodes' atoms on Omega."""
+    nodes = np.asarray(nodes, dtype=int)
+    k = kernel.matrix[nodes].tocoo()
+    x, y = domain._pos[nodes][k.row], domain._pos[k.col]
+    stray = np.flatnonzero((x < domain.m) & (y < 0))
+    if stray.size:
+        raise ValueError(
+            f"support of node {nodes[k.row[stray[0]]]} reaches exterior node "
+            f"{k.col[stray[0]]}; the node function is undefined there"
+        )
+    keep = (x < domain.m) | ((y >= 0) & (y < domain.m))
+    return x[keep], y[keep], k.data[keep]
+
+
+def _operators(kernel, domain, u, nodes):
+    """Lu at the interior nodes and Nu at the boundary nodes among `nodes`,
+    by local index (zero elsewhere): each row's atoms w (u_x - u_y) summed
+    one after another in CSR order."""
+    x, y, w = _edges(kernel, domain, nodes)
+    return np.bincount(x, weights=w * (u[x] - u[y]), minlength=domain.n)
+
+
 def apply_L(kernel, domain, u, node):
     """Pointwise nonlocal operator at an interior node:
     sum_y K(x,{y}) (u(x) - u(y)) over the support of x."""
     node = int(node)
     if not domain.is_omega(node):
         raise NodeNotInOmega(f"node {node} is not an interior node")
-    ux = u[domain.position(node)]
-    total = 0.0
-    for t, w in kernel.entries(node):
-        pt = domain.local(t)
-        if pt is None:
-            raise ValueError(
-                f"support of node {node} reaches exterior node {t}; "
-                "the node function is undefined there"
-            )
-        total += w * (ux - u[pt])
-    return total
+    return float(_operators(kernel, domain, u, [node])[domain.position(node)])
 
 
 def apply_N(kernel, domain, u, node):
@@ -148,12 +146,7 @@ def apply_N(kernel, domain, u, node):
     node = int(node)
     if not domain.is_gamma(node):
         raise NodeNotInGamma(f"node {node} is not a boundary node")
-    uy = u[domain.position(node)]
-    total = 0.0
-    for t, w in kernel.entries(node):
-        if domain.is_omega(t):
-            total += w * (uy - u[domain.position(t)])
-    return total
+    return float(_operators(kernel, domain, u, [node])[domain.position(node)])
 
 
 def ibp_residual(form, kernel, measure, domain, u, v):
@@ -161,15 +154,8 @@ def ibp_residual(form, kernel, measure, domain, u, v):
 
     |sum_Omega Lu * v * m  -  B(u, v)  +  sum_Gamma Nu * v * m|.
     """
-    interior = sum(
-        apply_L(kernel, domain, u, x) * v[domain.position(x)] * measure.masses[x]
-        for x in domain.omega
-    )
-    boundary = sum(
-        apply_N(kernel, domain, u, y) * v[domain.position(y)] * measure.masses[y]
-        for y in domain.gamma
-    )
-    return abs(interior - bilinear(form, u, v) + boundary)
+    values = _operators(kernel, domain, u, domain.order)
+    return abs(float(np.sum(values * v * measure.masses[domain.order])) - bilinear(form, u, v))
 
 
 def energy_dirichlet(form, f, v):
@@ -198,10 +184,6 @@ def v_norm_sq(kernel, measure, domain, u):
     """Squared native norm: sum_Omega u^2 m plus the full interaction sum
     sum_{x in Omega} m_x sum_y K(x,{y}) (u(x) - u(y))^2."""
     m = domain.m
-    total = float((u[:m] ** 2) @ measure.masses[domain.omega])
-    for x in domain.omega:
-        ux = u[domain.position(x)]
-        mx = measure.masses[x]
-        for t, w in kernel.entries(int(x)):
-            total += mx * w * (ux - u[domain.position(t)]) ** 2
-    return total
+    masses = measure.masses[domain.order]
+    x, y, w = _edges(kernel, domain, domain.omega)
+    return float((u[:m] ** 2) @ masses[:m]) + float(np.sum(masses[x] * w * (u[x] - u[y]) ** 2))

@@ -1,10 +1,16 @@
 """Atomic measures, transition kernels, and the nonlocal boundary.
 
 A measure is a finite set of nodes in R^d with strictly positive masses.
-A transition kernel attaches to every node a finite weighted neighbor list;
-evaluating the kernel on a node set means summing the weights of the entries
-whose target lies in the set.  Kernels are stored materialized because the
-symmetry and boundary scans need the full support.
+A transition kernel on n nodes is one non-negative n x n CSR matrix K with
+K[x, y] = K(x, {y}); evaluating it on a node set sums a row over the set's
+columns.  Symmetry with respect to the measure says that W = diag(m) K equals
+its transpose, so the symmetry check, the boundary split and everything built
+on them downstream are sparse-matrix expressions over K or W.
+
+Nodes are paired by one linked-cell search (`_close_pairs`): nodes are binned
+into cells of the search radius and compared only with the nodes of adjacent
+cells.  It serves the coincidence scan of the measure, stencil target
+resolution and quadrature neighborhoods.
 
 The node x itself never appears in its own support: the difference
 u(x) - u(y) vanishes on the diagonal, so diagonal atoms would contribute
@@ -14,11 +20,11 @@ nothing to any operator built here.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     AsymmetricDensity,
@@ -37,6 +43,45 @@ WEAK_BOUNDARY_THRESHOLD = 1e-14
 class KernelEntry(NamedTuple):
     target: int
     weight: float
+
+
+def _close_pairs(points, radius):
+    """Ordered pairs (i, j), i != j, of nodes at distance <= radius, sorted.
+
+    Linked-cell search: cells have side `radius` and a node is compared only
+    with the nodes of its own and the adjacent cells, one cell offset at a
+    time so that only the surviving pairs are kept.  Cells are indexed by the
+    ranks of the occupied cell coordinates along each axis, so their ids stay
+    below n^d however small `radius` is.  A rank step that skips empty cells
+    only adds candidates, which the distance filter drops.
+    """
+    n, d = points.shape
+    coords = np.ascontiguousarray(points.T)
+    cells = np.floor(points / max(radius, 1e-300))
+    ranks = np.stack([np.unique(axis, return_inverse=True)[1] for axis in cells.T], axis=1)
+    sizes = ranks.max(axis=0) + 1
+    strides = np.cumprod(np.concatenate(([1], sizes[:-1])))
+    cell_ids = ranks @ strides
+    by_cell = np.argsort(cell_ids, kind="stable")
+    sorted_ids = cell_ids[by_cell]
+    found_i, found_j = [], []
+    # offsets o and -o find the same pairs mirrored: scan the zero offset and
+    # the half of the offsets after it, and mirror what they find
+    for offset in list(itertools.product((-1, 0, 1), repeat=d))[3**d // 2 :]:
+        nbr = ranks + offset
+        nbr_id = nbr @ strides
+        lo = np.searchsorted(sorted_ids, nbr_id, "left")
+        count = np.searchsorted(sorted_ids, nbr_id, "right") - lo
+        count[~np.all((nbr >= 0) & (nbr < sizes), axis=1)] = 0
+        i = np.repeat(np.arange(n), count)
+        j = by_cell[np.arange(i.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+        close = np.linalg.norm(coords[:, j] - coords[:, i], axis=0) <= radius
+        keep = close & ((i < j) | any(offset))
+        found_i += [i[keep], j[keep]]
+        found_j += [j[keep], i[keep]]
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    order = np.argsort(i * n + j)
+    return i[order], j[order]
 
 
 class AtomicMeasure:
@@ -67,13 +112,11 @@ class AtomicMeasure:
             if np.any(self.masses <= 0.0):
                 raise ValueError("all node masses must be strictly positive")
         self.lookup_tol = float(lookup_tol)
-        self._cells: dict[float, dict[tuple, list[int]]] = {}
-        for i in range(n):
-            for j in self._candidates(pts[i], self.lookup_tol):
-                if j != i and np.linalg.norm(pts[j] - pts[i]) <= self.lookup_tol:
-                    raise ValueError(
-                        f"nodes {j} and {i} coincide within tolerance {self.lookup_tol}"
-                    )
+        i, j = _close_pairs(pts, self.lookup_tol)
+        if i.size:
+            raise ValueError(
+                f"nodes {j[0]} and {i[0]} coincide within tolerance {self.lookup_tol}"
+            )
 
     # -- basic queries ---------------------------------------------------
 
@@ -88,82 +131,71 @@ class AtomicMeasure:
     def total_mass(self):
         return float(self.masses.sum())
 
-    # -- spatial index ----------------------------------------------------
-
-    def _grid(self, cell):
-        cells = self._cells.get(cell)
-        if cells is None:
-            cells = {}
-            for i in range(len(self)):
-                key = tuple(int(math.floor(c / cell)) for c in self.points[i])
-                cells.setdefault(key, []).append(i)
-            self._cells[cell] = cells
-        return cells
-
-    def _candidates(self, point, radius):
-        cell = max(radius, 1e-300)
-        cells = self._grid(cell)
-        base = tuple(int(math.floor(c / cell)) for c in point)
-        out = []
-        for offset in itertools.product((-1, 0, 1), repeat=self.dim):
-            key = tuple(b + o for b, o in zip(base, offset))
-            out.extend(cells.get(key, ()))
-        return out
-
     def locate(self, point, tol=None):
         """Return the node id within `tol` of `point`, or None."""
-        point = np.asarray(point, dtype=float)
         tol = self.lookup_tol if tol is None else float(tol)
-        best, best_d = None, np.inf
-        for i in self._candidates(point, tol):
-            d = float(np.linalg.norm(self.points[i] - point))
-            if d <= tol and d < best_d:
-                best, best_d = i, d
-        return best
+        dist = np.linalg.norm(self.points - np.asarray(point, dtype=float), axis=1)
+        best = int(np.argmin(dist))
+        return best if dist[best] <= tol else None
 
     def near(self, point, radius):
         """Node ids with 0 < distance(point, node) <= radius."""
-        point = np.asarray(point, dtype=float)
-        out = []
-        for i in self._candidates(point, radius):
-            d = float(np.linalg.norm(self.points[i] - point))
-            if 0.0 < d <= radius:
-                out.append(i)
-        return sorted(out)
+        dist = np.linalg.norm(self.points - np.asarray(point, dtype=float), axis=1)
+        return np.flatnonzero((dist > 0.0) & (dist <= radius)).tolist()
 
 
 class TransitionKernel:
-    """Per-node finite weighted neighbor lists realizing K(x, .).
+    """Kernel K(x, .) on n nodes stored as one n x n CSR matrix.
 
-    `support[i]` is the list of KernelEntry atoms of node i.  Entries carry
-    non-negative weights and never target the node itself.
+    `matrix[x, y]` is K(x, {y}).  `support` is either that matrix (any scipy
+    sparse format) or, per node, a list of (target, weight) pairs; repeated
+    targets are summed.  Weights are non-negative and never on the diagonal.
     """
 
     def __init__(self, support, family, params=None):
-        self.support = [list(entries) for entries in support]
+        if sp.issparse(support):
+            matrix = sp.csr_matrix(support, dtype=float)
+        else:
+            support = list(support)
+            atoms = [(x, t, w) for x, entries in enumerate(support) for t, w in entries]
+            x, t, w = np.array(atoms, dtype=float).reshape(-1, 3).T
+            matrix = sp.csr_matrix((w, (x.astype(int), t.astype(int))), shape=(len(support),) * 2)
+        matrix.sum_duplicates()  # canonical CSR: rows ascending by target
+        self.matrix = matrix
         self.family = family
         self.params = dict(params or {})
-        for i, entries in enumerate(self.support):
-            for t, w in entries:
-                if w < 0.0:
-                    raise ValueError(f"negative kernel weight at node {i}")
-                if t == i:
-                    raise ValueError(f"diagonal kernel atom at node {i}")
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        bad = np.flatnonzero((matrix.data < 0.0) | (matrix.indices == rows))
+        if bad.size:
+            kind = "negative kernel weight" if matrix.data[bad[0]] < 0.0 else "diagonal kernel atom"
+            raise ValueError(f"{kind} at node {rows[bad[0]]}")
 
     def __len__(self):
-        return len(self.support)
+        return self.matrix.shape[0]
+
+    def _row(self, node):
+        span = slice(self.matrix.indptr[node], self.matrix.indptr[node + 1])
+        return self.matrix.indices[span], self.matrix.data[span]
 
     def entries(self, node):
-        return self.support[node]
+        """The atoms of K(node, .) as KernelEntry pairs, ascending by target."""
+        return [KernelEntry(int(t), float(w)) for t, w in zip(*self._row(node))]
+
+    @property
+    def support(self):
+        """Per-node entry lists, as `entries` gives them."""
+        k = self.matrix
+        atoms = list(map(KernelEntry, k.indices.tolist(), k.data.tolist()))
+        return [atoms[a:b] for a, b in zip(k.indptr[:-1].tolist(), k.indptr[1:].tolist())]
 
     def evaluate(self, node, targets):
         """K(node, S) for a node set S given as ids."""
-        targets = set(int(t) for t in targets)
-        return float(sum(w for t, w in self.support[node] if t in targets))
+        cols, weights = self._row(node)
+        return float(weights[np.isin(cols, list(targets))].sum())
 
     def total(self, node):
         """K(node, R^d): the full kernel mass of one node."""
-        return float(sum(w for _, w in self.support[node]))
+        return float(self._row(node)[1].sum())
 
 
 @dataclass(frozen=True)
@@ -172,13 +204,14 @@ class NonlocalDomain:
 
     The canonical ordering (interior first, then boundary, each ascending by
     node id) is fixed here and reused by assembly, solvers and reports.
+    `_pos[node]` is the node's local index in that ordering, -1 if exterior.
     """
 
     omega: np.ndarray
     gamma: np.ndarray
     exterior: np.ndarray
     weak_gamma: np.ndarray
-    _pos: dict = field(repr=False, compare=False, default_factory=dict)
+    _pos: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def m(self):
@@ -198,53 +231,54 @@ class NonlocalDomain:
 
     def position(self, node):
         """Local index of a node in the canonical ordering."""
-        return self._pos[int(node)]
+        p = self.local(node)
+        if p is None:
+            raise KeyError(int(node))
+        return p
 
     def local(self, node):
         """Local index, or None for exterior nodes."""
-        return self._pos.get(int(node))
+        node = int(node)
+        if not 0 <= node < len(self._pos) or self._pos[node] < 0:
+            return None
+        return int(self._pos[node])
 
     def is_omega(self, node):
-        p = self._pos.get(int(node))
+        p = self.local(node)
         return p is not None and p < self.m
 
     def is_gamma(self, node):
-        p = self._pos.get(int(node))
+        p = self.local(node)
         return p is not None and p >= self.m
 
 
 def nonlocal_boundary(kernel, omega, measure):
     """Split the node set: boundary = nodes outside omega with K(y, omega) > 0.
 
-    The split is exact: kernel masses toward omega are finite sums.  Nodes
-    whose mass toward omega is positive but below WEAK_BOUNDARY_THRESHOLD are
-    kept in the boundary and listed in `weak_gamma`.
+    The split is exact: kernel masses toward omega are finite sums, the row
+    sums of K over omega's columns.  Nodes whose mass toward omega is positive
+    but below WEAK_BOUNDARY_THRESHOLD are kept in the boundary and listed in
+    `weak_gamma`.
     """
-    omega_ids = sorted(int(i) for i in omega)
+    omega_ids = np.sort(np.fromiter(omega, dtype=int))
     n = len(measure)
-    for i in omega_ids:
-        if not 0 <= i < n:
-            raise ValueError(f"omega references node {i} outside the measure")
-    omega_set = set(omega_ids)
-    if len(omega_set) != len(omega_ids):
+    outside = (omega_ids < 0) | (omega_ids >= n)
+    if outside.any():
+        raise ValueError(f"omega references node {omega_ids[outside][0]} outside the measure")
+    if np.any(np.diff(omega_ids) == 0):
         raise ValueError("omega contains duplicate nodes")
-    gamma, exterior, weak = [], [], []
-    for y in range(n):
-        if y in omega_set:
-            continue
-        k_yo = sum(w for t, w in kernel.entries(y) if t in omega_set)
-        if k_yo > 0.0:
-            gamma.append(y)
-            if k_yo < WEAK_BOUNDARY_THRESHOLD:
-                weak.append(y)
-        else:
-            exterior.append(y)
-    pos = {node: i for i, node in enumerate(itertools.chain(omega_ids, gamma))}
+    in_omega = np.zeros(n, dtype=bool)
+    in_omega[omega_ids] = True
+    k_to_omega = kernel.matrix @ in_omega.astype(float)
+    reaches = k_to_omega > 0.0
+    gamma = np.flatnonzero(~in_omega & reaches)
+    pos = np.full(n, -1)
+    pos[np.r_[omega_ids, gamma]] = np.arange(len(omega_ids) + len(gamma))
     return NonlocalDomain(
-        omega=np.array(omega_ids, dtype=int),
-        gamma=np.array(gamma, dtype=int),
-        exterior=np.array(exterior, dtype=int),
-        weak_gamma=np.array(weak, dtype=int),
+        omega=omega_ids,
+        gamma=gamma,
+        exterior=np.flatnonzero(~in_omega & ~reaches),
+        weak_gamma=gamma[k_to_omega[gamma] < WEAK_BOUNDARY_THRESHOLD],
         _pos=pos,
     )
 
@@ -253,36 +287,44 @@ def stencil_kernel(d, h, measure):
     """Kernel of the (2d+1)-point difference operator on a step-h lattice.
 
     Every node gets the atoms (x + h e_i, 1/h^2) and (x - h e_i, 1/h^2) for
-    each axis whose target resolves to a node of the measure; missing targets
-    are omitted.  A target that resolves to no node but has some node strictly
-    within h/2 signals a lattice that is not commensurate with h.
+    each axis whose target resolves to a node of the measure (the nearest
+    within h * 1e-9); missing targets are omitted.  A target that resolves
+    to no node but has some node strictly within h/2 signals a lattice that
+    is not commensurate with h.  Both scans run over the node pairs within
+    1.5 h, which contain every node that close to a target.
     """
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if measure.dim != d:
         raise ValueError(f"measure has dimension {measure.dim}, expected {d}")
     tol = h * 1e-9
-    w = 1.0 / (h * h)
-    support = []
-    for i in range(len(measure)):
-        entries = []
-        for axis in range(d):
-            for sign in (1.0, -1.0):
-                target = measure.points[i].copy()
-                target[axis] += sign * h
-                j = measure.locate(target, tol)
-                if j is not None:
-                    entries.append(KernelEntry(j, w))
-                    continue
-                # open band: a node at exactly h/2 is a legitimate finer lattice
-                strays = measure.near(target, 0.5 * h * (1.0 - 1e-9))
-                if strays:
-                    raise NonCommensurateGrid(
-                        f"target of node {i} along axis {axis} lands between nodes "
-                        f"(nearest stray: node {strays[0]})"
-                    )
-        support.append(entries)
-    return TransitionKernel(support, "stencil", {"d": d, "h": h})
+    band = 0.5 * h * (1.0 - 1e-9)  # open band: a node at exactly h/2 is a legitimate finer lattice
+    pts = measure.points
+    i, j = _close_pairs(pts, 1.5 * h)
+    offsets = (pts[j] - pts[i]).T
+    rows, cols, failures = [], [], []
+    for axis in range(d):
+        for s, sign in enumerate((1.0, -1.0)):
+            from_target = offsets.copy()
+            from_target[axis] -= sign * h
+            dist = np.linalg.norm(from_target, axis=0)
+            hits = np.flatnonzero(dist <= tol)
+            hits = hits[np.lexsort((dist[hits], i[hits]))]
+            hits = hits[np.unique(i[hits], return_index=True)[1]]  # the nearest per node
+            rows.append(i[hits])
+            cols.append(j[hits])
+            strays = np.flatnonzero((dist > 0.0) & (dist <= band) & ~np.isin(i, i[hits]))
+            if strays.size:
+                failures.append((i[strays[0]], axis, s, j[strays[0]]))
+    if failures:
+        node, axis, _, stray = min(failures)
+        raise NonCommensurateGrid(
+            f"target of node {node} along axis {axis} lands between nodes "
+            f"(nearest stray: node {stray})"
+        )
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(pts),) * 2)
+    return TransitionKernel(matrix, "stencil", {"d": d, "h": h})
 
 
 def graph_kernel(edges, coordinates=None):
@@ -301,9 +343,7 @@ def graph_kernel(edges, coordinates=None):
         Kernel with support(x) = {(y, mu_xy / mu(x)) : y ~ x} and the measure
         carrying the vertex degree mu(x) = sum_y mu_xy as node mass.
     """
-    adjacency: dict[int, dict[int, float]] = {}
-    seen = set()
-    max_id = -1
+    conductances: dict[tuple[int, int], float] = {}
     for i, j, c in edges:
         i, j, c = int(i), int(j), float(c)
         if c <= 0.0:
@@ -311,34 +351,28 @@ def graph_kernel(edges, coordinates=None):
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
         key = (min(i, j), max(i, j))
-        if key in seen:
+        if key in conductances:
             raise ValueError(f"edge ({i}, {j}) listed more than once")
-        seen.add(key)
-        adjacency.setdefault(i, {})[j] = c
-        adjacency.setdefault(j, {})[i] = c
-        max_id = max(max_id, i, j)
-    if max_id < 0:
+        conductances[key] = c
+    if not conductances:
         raise ValueError("edge list is empty")
+    (i, j), c = np.array(list(conductances), dtype=int).T, list(conductances.values())
+    max_id = int(j.max())
     if coordinates is None:
         n_vertices = max_id + 1
-        coordinates = [(float(k),) for k in range(n_vertices)]
+        coordinates = np.arange(n_vertices, dtype=float)[:, None]
     else:
         coordinates = np.atleast_2d(np.asarray(coordinates, dtype=float))
         n_vertices = coordinates.shape[0]
         if max_id >= n_vertices:
             raise ValueError("edge references a vertex beyond the coordinate list")
-    degrees = np.zeros(n_vertices)
-    support = []
-    for x in range(n_vertices):
-        nbrs = adjacency.get(x)
-        if not nbrs:
-            raise IsolatedVertex(f"vertex {x} has no incident edge")
-        mu_x = sum(nbrs.values())
-        degrees[x] = mu_x
-        support.append([KernelEntry(y, c / mu_x) for y, c in sorted(nbrs.items())])
-    conductances = {key: adjacency[key[0]][key[1]] for key in seen}
+    matrix = sp.csr_matrix((c + c, (np.r_[i, j], np.r_[j, i])), shape=(n_vertices,) * 2)
+    degrees = matrix @ np.ones(n_vertices)
+    if np.any(degrees == 0.0):
+        raise IsolatedVertex(f"vertex {np.flatnonzero(degrees == 0.0)[0]} has no incident edge")
+    matrix.data /= np.repeat(degrees, np.diff(matrix.indptr))
     measure = AtomicMeasure(coordinates, degrees)
-    kernel = TransitionKernel(support, "graph", {"conductances": conductances})
+    kernel = TransitionKernel(matrix, "graph", {"conductances": conductances})
     return kernel, measure
 
 
@@ -346,52 +380,38 @@ def quadrature_kernel(gamma, delta, measure, symmetry_tol=1e-12):
     """Kernel of a truncated density: weight gamma(x, y) * mass(y) within delta.
 
     The node masses act as quadrature weights, so continuum densities enter
-    only through their values at node pairs.  The density is probed for
-    symmetry on every support pair; an asymmetric density is rejected rather
-    than symmetrized, since silent symmetrization would mask modeling errors.
+    only through their values at node pairs.  The density is probed once per
+    unordered pair within delta, in both orientations, and checked for
+    symmetry there; an asymmetric density is rejected rather than
+    symmetrized, since silent symmetrization would mask modeling errors.
     """
     if delta <= 0.0:
         raise ValueError("interaction radius delta must be positive")
-    support = []
-    for i in range(len(measure)):
-        entries = []
-        for j in measure.near(measure.points[i], delta):
-            g_ij = float(gamma(measure.points[i], measure.points[j]))
-            g_ji = float(gamma(measure.points[j], measure.points[i]))
-            if g_ij < 0.0 or g_ji < 0.0:
-                raise ValueError(f"density is negative on pair ({i}, {j})")
-            if abs(g_ij - g_ji) > symmetry_tol * max(1.0, abs(g_ij), abs(g_ji)):
-                raise AsymmetricDensity(
-                    f"gamma({i}, {j}) = {g_ij} but gamma({j}, {i}) = {g_ji}"
-                )
-            w = g_ij * measure.masses[j]
-            if w != 0.0:
-                entries.append(KernelEntry(j, w))
-        support.append(entries)
-    return TransitionKernel(support, "quadrature", {"delta": delta})
-
-
-def _pair_weights(kernel, measure):
-    """Aggregate mass(x) * K(x, {y}) over ordered node pairs."""
-    weights: dict[tuple[int, int], float] = {}
-    for x in range(len(kernel)):
-        mx = measure.masses[x]
-        for t, w in kernel.entries(x):
-            key = (x, int(t))
-            weights[key] = weights.get(key, 0.0) + mx * w
-    return weights
+    pts = measure.points
+    i, j = _close_pairs(pts, delta)
+    i, j = i[i < j], j[i < j]
+    g_ij, g_ji = np.empty(i.size), np.empty(i.size)
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        g_ij[k] = g_ab = float(gamma(pts[a], pts[b]))
+        g_ji[k] = g_ba = float(gamma(pts[b], pts[a]))
+        if g_ab < 0.0 or g_ba < 0.0:
+            raise ValueError(f"density is negative on pair ({a}, {b})")
+        if abs(g_ab - g_ba) > symmetry_tol * max(1.0, abs(g_ab), abs(g_ba)):
+            raise AsymmetricDensity(
+                f"gamma({a}, {b}) = {g_ab} but gamma({b}, {a}) = {g_ba}"
+            )
+    density = sp.csr_matrix((np.r_[g_ij, g_ji], (np.r_[i, j], np.r_[j, i])), shape=(len(pts),) * 2)
+    return TransitionKernel(density @ sp.diags(measure.masses), "quadrature", {"delta": delta})
 
 
 def symmetry_defect(kernel, measure):
-    """Worst violation of mass(x) K(x,{y}) = mass(y) K(y,{x}) over node pairs.
+    """Worst violation of mass(x) K(x,{y}) = mass(y) K(y,{x}) over node pairs,
+    max |W - W^T| with W = diag(mass) K.
 
     Zero exactly when the product of measure and kernel is flip-invariant on
     the atomic product sigma-algebra.
     """
     if len(kernel) != len(measure):
         raise ValueError("kernel and measure describe different node counts")
-    weights = _pair_weights(kernel, measure)
-    defect = 0.0
-    for (x, y), v in weights.items():
-        defect = max(defect, abs(v - weights.get((y, x), 0.0)))
-    return defect
+    weights = sp.diags(measure.masses) @ kernel.matrix
+    return float(abs(weights - weights.T).max())

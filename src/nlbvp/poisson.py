@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .assembly import assemble_form
 from .errors import BadStep, HypothesisViolated
@@ -103,20 +104,12 @@ def unit_cube_grid(d, h):
     n_axis = round(1.0 / h)
     if h <= 0.0 or abs(1.0 / h - n_axis) > 1e-9 or n_axis < 2:
         raise BadStep(f"step {h} is not the reciprocal of an integer >= 2")
-    indices = list(itertools.product(range(n_axis + 1), repeat=d))  # lexicographic
-    points = np.array(indices, dtype=float) * h
-    measure = AtomicMeasure(points, lookup_tol=h * 1e-9)
-    omega = [
-        i for i, idx in enumerate(indices) if all(0 < c < n_axis for c in idx)
-    ]
-    facet = {
-        i
-        for i, idx in enumerate(indices)
-        if sum(c in (0, n_axis) for c in idx) == 1
-    }
+    indices = np.array(list(itertools.product(range(n_axis + 1), repeat=d)))  # lexicographic
+    measure = AtomicMeasure(indices * h, lookup_tol=h * 1e-9)
+    on_face = (indices == 0) | (indices == n_axis)
     kernel = stencil_kernel(d, h, measure)
-    domain = nonlocal_boundary(kernel, omega, measure)
-    if set(domain.gamma.tolist()) != facet:
+    domain = nonlocal_boundary(kernel, np.flatnonzero(~on_face.any(axis=1)), measure)
+    if not np.array_equal(domain.gamma, np.flatnonzero(on_face.sum(axis=1) == 1)):
         raise AssertionError("kernel-derived boundary differs from the facet set")
     return UnitCubeGrid(d=d, h=h, n_axis=n_axis, measure=measure, kernel=kernel, domain=domain)
 
@@ -232,19 +225,13 @@ def nonnegative_type_check(matrix, rows):
     matrix = sp.csr_matrix(matrix)
     scale = max(float(abs(matrix).max()), 1.0) if matrix.nnz else 1.0
     tol = ZERO_ROWSUM_TOL * scale
-    nonnegative = True
-    zero_sums = True
-    for i in rows:
-        start, end = matrix.indptr[i], matrix.indptr[i + 1]
-        row_sum = 0.0
-        for j, v in zip(matrix.indices[start:end], matrix.data[start:end]):
-            row_sum += v
-            if j != i and v > tol:
-                nonnegative = False
-        if row_sum < -tol:
-            nonnegative = False
-        if abs(row_sum) > tol:
-            zero_sums = False
+    rows = np.asarray(rows, dtype=int)
+    block = matrix[rows]
+    sums = block @ np.ones(matrix.shape[1])  # CSR order, as a running row sum
+    entries = block.tocoo()
+    off_diagonal = entries.data[rows[entries.row] != entries.col]
+    nonnegative = not (np.any(off_diagonal > tol) or np.any(sums < -tol))
+    zero_sums = not np.any(np.abs(sums) > tol)
     return NonnegativeTypeReport(nonnegative_type=nonnegative, zero_row_sums=zero_sums)
 
 
@@ -286,40 +273,25 @@ def graph_bvp_demo(edges, omega_vertices, f, tol=1e-12):
     """
     kernel, measure = graph_kernel(edges)
     n_vertices = len(measure)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n_vertices)}
-    conductances = kernel.params["conductances"]
-    for (i, j) in conductances:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for y in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != n_vertices:
+    if csgraph.connected_components(kernel.matrix, directed=False)[0] != 1:
         raise ValueError("graph must be connected")
     omega = sorted(int(v) for v in omega_vertices)
     if not omega or len(omega) >= n_vertices:
         raise ValueError("omega_vertices must be a non-empty proper subset")
     domain = nonlocal_boundary(kernel, omega, measure)
     form = assemble_form(kernel, measure, domain)
-    dense = form.matrix.toarray()
-    for x in domain.omega:
-        px = domain.position(x)
-        expected_diag = measure.masses[x]  # vertex degree
-        if abs(dense[px, px] - expected_diag) > 1e-12 * max(1.0, expected_diag):
-            raise AssertionError("assembled diagonal differs from the vertex degree")
-        for node in domain.order:
-            p = domain.position(node)
-            if p == px:
-                continue
-            key = (min(int(x), int(node)), max(int(x), int(node)))
-            expected = -conductances.get(key, 0.0)
-            if abs(dense[px, p] - expected) > 1e-12 * max(1.0, abs(expected)):
-                raise AssertionError("assembled off-diagonal differs from the conductance")
+    m, order = domain.m, domain.order
+    conductances = kernel.params["conductances"]
+    (i, j), c = np.array(list(conductances), dtype=int).T, list(conductances.values())
+    conductance = sp.csr_matrix((c + c, (np.r_[i, j], np.r_[j, i])), shape=(n_vertices,) * 2)
+    conductance = conductance[order[:m]][:, order]
+    rows = form.matrix[:m]
+    degree = measure.masses[order[:m]]
+    if np.any(np.abs(rows.diagonal() - degree) > 1e-12 * np.maximum(1.0, degree)):
+        raise AssertionError("assembled diagonal differs from the vertex degree")
+    gap = abs(rows - sp.diags(rows.diagonal(), shape=rows.shape) + conductance)
+    if (gap > 1e-12).multiply(gap > 1e-12 * conductance).nnz:
+        raise AssertionError("assembled off-diagonal differs from the conductance")
     f = np.asarray(f, dtype=float)
     problem = DirichletProblem(form, f, np.zeros(domain.l))
     return solve_dirichlet(problem, tol=tol)

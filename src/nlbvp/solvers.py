@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import analysis, linalg
-from .assembly import apply_L, apply_N
+from .assembly import _operators
 from .errors import (
     FriedrichsViolated,
     IncompatibleData,
@@ -187,10 +187,7 @@ def strong_residual(solution, kernel, domain, f, g):
     u = solution.u if isinstance(solution, Solution) else np.asarray(solution, dtype=float)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    interior = 0.0
-    for i, x in enumerate(domain.omega):
-        interior = max(interior, abs(apply_L(kernel, domain, u, x) - f[i]))
-    boundary = 0.0
-    for i, y in enumerate(domain.gamma):
-        boundary = max(boundary, abs(apply_N(kernel, domain, u, y) - g[i]))
+    values = _operators(kernel, domain, u, domain.order)
+    interior = float(np.max(np.abs(values[: domain.m] - f), initial=0.0))
+    boundary = float(np.max(np.abs(values[domain.m :] - g), initial=0.0))
     return interior, boundary

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlbvp import (
@@ -17,6 +19,8 @@ from nlbvp import (
     negative_part,
     nonlocal_boundary,
     positive_part,
+    quadrature_kernel,
+    symmetry_defect,
     v_norm_sq,
 )
 from nlbvp.errors import (
@@ -208,3 +212,66 @@ def test_norm_sandwich(rng):
         middle = float(u[: grid.m] ** 2 @ masses) + bilinear(form, u, u)
         assert 0.5 * norm_sq <= middle + 1e-12 * norm_sq
         assert middle <= norm_sq + 1e-12 * norm_sq
+
+
+# -- kernel layer against brute-force pair loops ------------------------------------
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to 30 nodes in [0, 1]^d with masses, a radius delta, a symmetric
+    density (zero on part of the pairs), an interior set and a seed."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 30))
+    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
+    masses = draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    delta = draw(st.floats(0.05, 1.0))
+    bend = draw(st.floats(-2.0, 2.0))
+    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points = np.array(coords).reshape(n, d)
+
+    def density(p, q):
+        return max(0.0, 1.0 + bend * float(np.sum(p + q)) - float(np.sum((p - q) ** 2)))
+
+    return points, np.array(masses), delta, density, omega, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_clouds())
+def test_kernel_layer_matches_pair_loops(cloud):
+    points, masses, delta, density, omega, seed = cloud
+    n = len(points)
+    dist = np.array([[np.linalg.norm(p - q) for q in points] for p in points])
+    off_diagonal = dist[~np.eye(n, dtype=bool)]
+    assume(off_diagonal.min() > 1e-9)  # distinct nodes
+    assume(np.abs(off_diagonal - delta).min() > 1e-9 * delta)  # no pair on the cut-off
+    measure = AtomicMeasure(points, masses)
+    kernel = quadrature_kernel(density, delta, measure)
+
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and dist[i, j] <= delta:
+                dense[i, j] = density(points[i], points[j]) * masses[j]
+    assert np.array_equal(kernel.matrix.toarray(), dense)
+    for i in range(n):
+        assert kernel.entries(i) == [(j, dense[i, j]) for j in np.flatnonzero(dense[i])]
+
+    for matrix in (dense, np.triu(dense) * 2.0):  # the second one is asymmetric
+        support = [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
+        weights = masses[:, None] * matrix
+        expected = float(np.max(np.abs(weights - weights.T)))
+        assert symmetry_defect(TransitionKernel(support, "quadrature"), measure) == expected
+
+    domain = nonlocal_boundary(kernel, omega, measure)
+    outside = np.setdiff1d(np.arange(n), omega)
+    assert domain.gamma.tolist() == [y for y in outside if dense[y, omega].sum() > 0.0]
+    form = assemble_form(kernel, measure, domain)
+    assert (form.matrix - form.matrix.T).nnz == 0
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(-1.0, 1.0, (2, domain.n))
+    scale = 1.0 + 4.0 * float(np.sum(masses[:, None] * dense))
+    direct = brute_force_bilinear(kernel, measure, domain, u, v)
+    assert abs(bilinear(form, u, v) - direct) <= 1e-12 * scale
+    assert ibp_residual(form, kernel, measure, domain, u, v) <= 1e-12 * scale

@@ -1,10 +1,14 @@
 """Command-line contract: documents, exit codes, outputs, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nlbvp
 from nlbvp import cli, fileio
 from nlbvp.fileio import load_document, gamma_values_from_table
 
@@ -322,3 +326,14 @@ def test_matrix_coo_export(tmp_path):
     assert entries[(0, 0)] == 8.0
     assert entries[(0, 1)] == -4.0
     assert entries[(1, 0)] == entries[(0, 1)]
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # scipy.spatial pulls in scipy.special: about 0.1 s and 6 MB per process start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlbvp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, nlbvp.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -79,6 +79,42 @@ def test_stencil_noncommensurate_grid():
         stencil_kernel(1, 0.25, measure)
 
 
+def square_lattice(h=0.5):
+    return [[i * h, j * h] for i in range(3) for j in range(3)]
+
+
+def test_stencil_stray_node_off_target_2d():
+    # node (1.0, 0.5) moved 0.3h toward the center: the center's +x target
+    # resolves to no node but has a stray strictly within h/2
+    pts = square_lattice()
+    pts[pts.index([1.0, 0.5])] = [1.0 - 0.3 * 0.5, 0.5]
+    with pytest.raises(NonCommensurateGrid):
+        stencil_kernel(2, 0.5, AtomicMeasure(pts))
+
+
+def test_stencil_open_band_at_half_step_2d():
+    # extra nodes at exactly h/2 from lattice targets form no stray and
+    # resolve no target of their own
+    pts = square_lattice() + [[0.25, 0.0], [0.75, 0.5]]
+    measure = AtomicMeasure(pts)
+    kernel = stencil_kernel(2, 0.5, measure)
+    assert kernel.entries(9) == [] and kernel.entries(10) == []
+    center = measure.locate([0.5, 0.5])
+    assert sorted(kernel.entries(center)) == [(1, 4.0), (3, 4.0), (5, 4.0), (7, 4.0)]
+    assert sorted(kernel.entries(0)) == [(1, 4.0), (3, 4.0)]
+    assert symmetry_defect(kernel, measure) == 0.0
+
+
+def test_stencil_far_off_lattice_node_is_ignored_2d():
+    # (0.25, 0.25) is sqrt(2) h/2 > h/2 away from every lattice target
+    pts = square_lattice() + [[0.25, 0.25]]
+    measure = AtomicMeasure(pts)
+    kernel = stencil_kernel(2, 0.5, measure)
+    reference = stencil_kernel(2, 0.5, AtomicMeasure(square_lattice()))
+    assert kernel.entries(9) == []
+    assert all(kernel.entries(i) == reference.entries(i) for i in range(9))
+
+
 # -- graph kernel ----------------------------------------------------------------
 
 
