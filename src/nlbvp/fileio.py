@@ -12,9 +12,16 @@ Documents are JSON with the fixed kernel/measure fields
     omega      interior node ids
 
 plus an optional problem block {kind, f, g, c, tol}.  Load data f/g/c may be
-per-node value lists, expression strings over the coordinates (variables
-x, y, z; functions sin, cos, exp, sqrt, abs; constant pi), or
+per-node value lists, expression strings over the coordinates, or
 {"table": path} to reuse a previously written solution table.
+
+Expressions (the load data and gamma) follow one small grammar, checked on
+the parsed tree before anything is evaluated: numeric constants (taken as
+floats), the variables x, y, z (one per coordinate; r for gamma) and pi,
+the operators + - * / ** and unary - +, and one-argument calls of sin, cos,
+exp, sqrt and abs.  Every other construct is a DocumentError.  Each
+expression is compiled once and evaluated on numpy arrays, with floating-point
+division by zero, invalid operations and overflow raised as DocumentError.
 
 All numeric output is written with 17 significant digits so that re-reading
 reproduces the exact double.
@@ -22,6 +29,7 @@ reproduces the exact double.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import dataclass
@@ -37,15 +45,9 @@ from .measure import (
     stencil_kernel,
 )
 
-_EXPR_GLOBALS = {
-    "__builtins__": {},
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "pi": math.pi,
-}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
+_COORDINATES = ("x", "y", "z")
 
 
 def fmt(x):
@@ -75,28 +77,88 @@ def write_json(record, path=None):
     return payload
 
 
-def evaluate_expression(expr, point):
-    """Evaluate a coordinate expression at one node."""
-    point = np.atleast_1d(point)
-    names = {"x": float(point[0])}
-    if point.shape[0] > 1:
-        names["y"] = float(point[1])
-    if point.shape[0] > 2:
-        names["z"] = float(point[2])
+def _vet(node, names, constants):
+    """`node` with each numeric constant replaced by a name bound to its
+    float64 in `constants`; ValueError on anything outside the grammar."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+        node.left = _vet(node.left, names, constants)
+        node.right = _vet(node.right, names, constants)
+        return node
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _OPERATORS):
+        node.operand = _vet(node.operand, names, constants)
+        return node
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _FUNCTIONS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        node.args[0] = _vet(node.args[0], names, constants)
+        return node
+    if isinstance(node, ast.Name) and node.id in names:
+        return node
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        name = f"_c{len(constants)}"
+        constants[name] = np.float64(float(node.value))
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
+    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+
+
+def _compile_expression(expr, variables):
+    """Check `expr` against the expression grammar and compile it once.
+
+    Returns a function of the variables (keyword arguments, floats or equally
+    shaped arrays) that evaluates the expression with numpy under raised
+    floating-point errors.  Float constants mean that no big-integer
+    arithmetic can run: 9**9**9 overflows at once.
+    """
+    constants = {}
     try:
-        return float(eval(expr, _EXPR_GLOBALS, names))  # noqa: S307 - restricted env
-    except Exception as exc:
-        raise DocumentError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+        tree = ast.parse(expr, mode="eval")
+        tree.body = _vet(tree.body, {*variables, "pi"}, constants)
+        code = compile(ast.fix_missing_locations(tree), "<expression>", "eval")
+    # the parser reports too deep a nesting as MemoryError or RecursionError
+    except (TypeError, ValueError, SyntaxError, OverflowError, RecursionError, MemoryError) as exc:
+        raise DocumentError(f"invalid expression {expr!r}: {exc}") from exc
+    namespace = {"__builtins__": {}, "pi": np.float64(math.pi), **_FUNCTIONS, **constants}
+
+    def evaluate(**values):
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return eval(code, namespace, values)  # noqa: S307 - vetted tree
+        except ArithmeticError as exc:
+            raise DocumentError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+
+    return evaluate
+
+
+def evaluate_expression(expr, points):
+    """Evaluate a coordinate expression at every row of `points` (k, d) in
+    one call; a constant expression is broadcast to the k nodes."""
+    points = np.asarray(points, dtype=float)
+    evaluate = _compile_expression(expr, _COORDINATES[: points.shape[1]])
+    values = np.empty(points.shape[0])
+    values[...] = evaluate(**dict(zip(_COORDINATES, points.T)))
+    return values
 
 
 def radial_density(expr):
-    """Symmetric density from a radial expression in the variable r."""
+    """Symmetric density from a radial expression in the variable r.
+
+    The density takes two coordinate-major stacks p, q of shape (d, k) and
+    returns the k values at r = |p[:, k] - q[:, k]|; `gamma.vectorized`
+    tells `quadrature_kernel` to call it once on all pairs.
+    """
+    evaluate = _compile_expression(expr, ("r",))
+
     def gamma(p, q):
-        r = float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
-        try:
-            return float(eval(expr, _EXPR_GLOBALS, {"r": r}))  # noqa: S307
-        except Exception as exc:
-            raise DocumentError(f"cannot evaluate density {expr!r}: {exc}") from exc
+        r = np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float), axis=0)
+        values = np.empty(r.shape)
+        values[...] = evaluate(r=r)
+        return values
+
+    gamma.vectorized = True
     return gamma
 
 
@@ -219,7 +281,7 @@ def _node_values(raw, points, count, name):
     if raw is None:
         return np.zeros(count)
     if isinstance(raw, str):
-        return np.array([evaluate_expression(raw, p) for p in points])
+        return evaluate_expression(raw, points)
     if isinstance(raw, dict) and "table" in raw:
         values = gamma_values_from_table(raw["table"])
         if values.shape != (count,):

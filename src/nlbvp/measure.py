@@ -380,26 +380,41 @@ def quadrature_kernel(gamma, delta, measure, symmetry_tol=1e-12):
     """Kernel of a truncated density: weight gamma(x, y) * mass(y) within delta.
 
     The node masses act as quadrature weights, so continuum densities enter
-    only through their values at node pairs.  The density is probed once per
+    only through their values at node pairs.  The cut-off |x - y| <= delta
+    is taken up to the measure's coordinate tolerance `lookup_tol`, so pairs
+    at exactly delta (a lattice with delta a multiple of its step) are kept
+    however their coordinates were rounded.  The density is probed once per
     unordered pair within delta, in both orientations, and checked for
     symmetry there; an asymmetric density is rejected rather than
     symmetrized, since silent symmetrization would mask modeling errors.
+
+    `gamma` is either a `(p, q) -> float` callable, probed pair by pair, or
+    a vectorized density (marked by a true `gamma.vectorized` attribute, as
+    `fileio.radial_density` returns) that takes coordinate-major stacks of
+    shape (d, k) and returns the k values; it is called once per orientation.
     """
     if delta <= 0.0:
         raise ValueError("interaction radius delta must be positive")
     pts = measure.points
-    i, j = _close_pairs(pts, delta)
+    i, j = _close_pairs(pts, delta + measure.lookup_tol)
     i, j = i[i < j], j[i < j]
-    g_ij, g_ji = np.empty(i.size), np.empty(i.size)
-    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        g_ij[k] = g_ab = float(gamma(pts[a], pts[b]))
-        g_ji[k] = g_ba = float(gamma(pts[b], pts[a]))
-        if g_ab < 0.0 or g_ba < 0.0:
-            raise ValueError(f"density is negative on pair ({a}, {b})")
-        if abs(g_ab - g_ba) > symmetry_tol * max(1.0, abs(g_ab), abs(g_ba)):
-            raise AsymmetricDensity(
-                f"gamma({a}, {b}) = {g_ab} but gamma({b}, {a}) = {g_ba}"
-            )
+    if getattr(gamma, "vectorized", False):
+        g_ij = np.asarray(gamma(pts[i].T, pts[j].T), dtype=float)
+        g_ji = np.asarray(gamma(pts[j].T, pts[i].T), dtype=float)
+    else:
+        pairs = list(zip(i.tolist(), j.tolist()))
+        g_ij = np.array([float(gamma(pts[a], pts[b])) for a, b in pairs])
+        g_ji = np.array([float(gamma(pts[b], pts[a])) for a, b in pairs])
+    negative = (g_ij < 0.0) | (g_ji < 0.0)
+    scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
+    failing = np.flatnonzero(negative | (np.abs(g_ij - g_ji) > symmetry_tol * scale))
+    if failing.size:
+        k = failing[0]
+        if negative[k]:
+            raise ValueError(f"density is negative on pair ({i[k]}, {j[k]})")
+        raise AsymmetricDensity(
+            f"gamma({i[k]}, {j[k]}) = {float(g_ij[k])} but gamma({j[k]}, {i[k]}) = {float(g_ji[k])}"
+        )
     density = sp.csr_matrix((np.r_[g_ij, g_ji], (np.r_[i, j], np.r_[j, i])), shape=(len(pts),) * 2)
     return TransitionKernel(density @ sp.diags(measure.masses), "quadrature", {"delta": delta})
 

@@ -242,6 +242,12 @@ def discrete_max_principle_check(matrix, u, m, n):
     must not exceed the max over the trailing boundary entries.  Returns
     True when the conclusion holds or the premise fails; raises
     HypothesisViolated when the matrix itself is inadmissible.
+
+    With vanishing row sums the leading m x m block is nonsingular exactly
+    when it is weakly chained diagonally dominant: every leading row reaches,
+    along the nonzero couplings of the leading block, a row with a nonzero
+    entry in the trailing columns.  The rows that reach none form a block
+    with zero row sums and no coupling out of it, which is singular.
     """
     matrix = sp.csr_matrix(matrix)
     if matrix.shape != (m, n):
@@ -251,8 +257,14 @@ def discrete_max_principle_check(matrix, u, m, n):
         raise HypothesisViolated(
             "matrix is not of non-negative type with vanishing row sums"
         )
-    leading = matrix[:, :m].toarray()
-    if np.linalg.matrix_rank(leading) < m:
+    # reversed coupling graph with every trailing column merged into node m
+    coo = matrix.tocoo()
+    nonzero = coo.data != 0.0
+    reversed_graph = sp.csr_matrix(
+        (np.ones(nonzero.sum()), (np.minimum(coo.col[nonzero], m), coo.row[nonzero])),
+        shape=(m + 1, m + 1),
+    )
+    if csgraph.breadth_first_order(reversed_graph, m, return_predecessors=False).size <= m:
         raise HypothesisViolated("leading block is singular")
     u = np.asarray(u, dtype=float)
     applied = matrix @ u

@@ -1,15 +1,22 @@
 """Command-line contract: documents, exit codes, outputs, round-trips."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlbvp
 from nlbvp import cli, fileio
+from nlbvp.errors import DocumentError
 from nlbvp.fileio import load_document, gamma_values_from_table
 
 
@@ -191,7 +198,7 @@ def test_diagnose_unit_square(tmp_path, n_axis):
     outputs = [str(tmp_path / f"report{k}.json") for k in range(2)]
     for out in outputs:
         assert cli.main(["diagnose", path, "--out", out]) == 0
-    first, second = (open(out, "rb").read() for out in outputs)
+    first, second = (Path(out).read_bytes() for out in outputs)
     assert first == second
     record = json.loads(first)
     assert record["nullspace_dim"] == 1
@@ -249,7 +256,7 @@ def test_bench_writes_report_and_plot_data(tmp_path):
         )
         == 0
     )
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("# h\t")
     assert (tmp_path / "plot_h0.25.tsv").exists()
 
@@ -303,6 +310,130 @@ def test_nodes_with_masses(tmp_path):
     np.testing.assert_allclose(doc.measure.masses, [0.5, 2.0, 0.5])
     # kernel weights carry the target mass as quadrature weight
     assert dict(doc.kernel.entries(1)) == {0: 0.5, 2: 0.5}
+
+
+# -- expressions -------------------------------------------------------------------
+
+HOSTILE = [
+    "().__class__.__base__.__subclasses__()",
+    "().__class__.__base__.__subclasses__().__len__()",
+    "__import__('os')",
+    "(lambda: 1)()",
+    "[1 for t in (1, 2)][0]",
+    "(1, 2)[0]",
+    "'1'",
+    "exp(x=1)",
+    "log(1)",
+    "y",
+    "9**9**9",
+]
+
+
+def hostile_doc(field, expr):
+    if field == "gamma":
+        return {
+            "family": "quadrature",
+            "dimension": 1,
+            "delta": 0.3,
+            "gamma": expr,
+            "nodes": [[0.0], [0.25], [0.5], [0.75], [1.0]],
+            "omega": [1, 2, 3],
+        }
+    if field == "f":
+        return interval_doc({"kind": "dirichlet", "f": expr, "g": "0"})
+    return interval_doc({"kind": "regularized", "f": "1", "g": "0", "c": expr})
+
+
+@pytest.mark.parametrize("field", ["f", "c", "gamma"])
+@pytest.mark.parametrize("expr", HOSTILE)
+def test_hostile_expression_is_a_document_error(tmp_path, capsys, field, expr):
+    path = write_doc(tmp_path, "doc.json", hostile_doc(field, expr))
+    start = time.perf_counter()
+    assert cli.main(["solve", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(DocumentError):
+        load_document(path)
+
+
+FORBIDDEN = [
+    "().__class__", "x.real", "x[0]", "lambda: 1", "[t for t in x]", "'1'", "b'1'",
+    "None", "True", "1j", "...", "sin(x=1)", "sin(x, x)", "sin(*x)", "log(x)",
+    "__import__('os')", "pi(x)", "sin", "q", "x < 1", "x and y", "x if y else 1",
+    "x // y", "x % y", "x ^ y", "not x", "~x", "(x := 1)", "(x, y)", "{x: y}", "f'{x}'",
+]
+VALID = st.recursive(
+    st.sampled_from(["x", "y", "pi", "2", "0.5"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs", "-", "+"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALID, st.sampled_from(FORBIDDEN), st.integers(0, 7))
+def test_compiler_rejects_spliced_constructs_before_evaluating(valid, forbidden, position):
+    fileio._compile_expression(valid, ("x", "y"))  # the host compiles
+    leaves = list(re.finditer(r"\b(x|y|pi|2|0\.5)\b", valid))
+    leaf = leaves[position % len(leaves)]
+    spliced = f"{valid[: leaf.start()]}({forbidden}){valid[leaf.end():]}"
+    with pytest.raises(DocumentError):
+        fileio._compile_expression(spliced, ("x", "y"))
+
+
+def within_one_ulp(a, b):
+    return (a == b) | (a == np.nextafter(b, np.inf)) | (a == np.nextafter(b, -np.inf))
+
+
+@pytest.mark.parametrize(
+    "expr,reference,exact",
+    [
+        ("x + y", lambda x, y: x + y, True),
+        ("x - y", lambda x, y: x - y, True),
+        ("x * y", lambda x, y: x * y, True),
+        ("x / y", lambda x, y: x / y, True),
+        ("-x + (+y)", lambda x, y: -x + (+y), True),
+        ("sin(x)", lambda x, y: math.sin(x), True),
+        ("cos(x)", lambda x, y: math.cos(x), True),
+        ("sqrt(y)", lambda x, y: math.sqrt(y), True),
+        ("abs(x)", lambda x, y: abs(x), True),
+        ("exp(x)", lambda x, y: math.exp(x), False),
+        ("y ** x", lambda x, y: y**x, False),
+        ("x ** 2", lambda x, y: x**2.0, False),
+    ],
+)
+def test_vectorized_evaluation_matches_per_point_floats(expr, reference, exact):
+    rng = np.random.default_rng(7)
+    points = np.column_stack([rng.uniform(-20.0, 20.0, 4000), rng.uniform(0.1, 10.0, 4000)])
+    values = fileio.evaluate_expression(expr, points)
+    expected = np.array([reference(float(x), float(y)) for x, y in points])
+    if exact:
+        assert np.array_equal(values, expected)
+    else:
+        assert np.all(within_one_ulp(values, expected))
+
+
+def test_expression_underflow_is_zero_and_constants_broadcast():
+    points = np.array([[0.0], [0.5], [1.0]])
+    assert fileio.evaluate_expression("exp(-1000)", points).tolist() == [0.0] * 3
+    assert fileio.evaluate_expression("exp(-1000*x - 1000)", points).tolist() == [0.0] * 3
+    assert fileio.evaluate_expression("0", points).tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["1/x", "sqrt(x - 1)", "exp(2000*x)", "(0 - 8) ** (1/3)", "-" * 100000 + "1", "1+" * 2000 + "1"],
+    ids=["divide", "sqrt", "overflow", "power", "deep-unary", "deep-binary"],
+)
+def test_expression_errors_are_document_errors(expr):
+    with pytest.raises(DocumentError):
+        fileio.evaluate_expression(expr, np.array([[0.0], [0.5]]))
 
 
 # -- formatting helpers --------------------------------------------------------------

@@ -185,6 +185,21 @@ def test_quadrature_matches_pair_loop():
         assert dict(kernel.entries(i)) == pytest.approx(expected)
 
 
+def test_quadrature_keeps_lattice_pairs_at_exactly_delta():
+    # the computed length of a 3-step pair may exceed the computed 3h
+    n, h = 40, 1.0 / 40
+    idx = np.array([(i, j) for i in range(n + 1) for j in range(n + 1)])
+    measure = AtomicMeasure(idx * h)
+    kernel = quadrature_kernel(lambda p, q: 1.0, 3 * h, measure)
+    node = {tuple(ij): k for k, ij in enumerate(idx.tolist())}
+    dense = kernel.matrix.toarray()
+    for k, (i, j) in enumerate(idx.tolist()):
+        for di, dj in ((3, 0), (-3, 0), (0, 3), (0, -3)):
+            target = node.get((i + di, j + dj))
+            if target is not None:
+                assert dense[k, target] == 1.0, (i, j, di, dj)
+
+
 def test_quadrature_rejects_asymmetric_density():
     measure = interval_measure(0.5)
     with pytest.raises(AsymmetricDensity):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlbvp import (
@@ -282,6 +284,34 @@ def test_discrete_max_principle_rejects_bad_matrix():
     matrix = np.array([[1.0, 0.5, -1.0]])
     with pytest.raises(HypothesisViolated):
         discrete_max_principle_check(matrix, np.zeros(3), 1, 3)
+
+
+@st.composite
+def nonnegative_type_rows(draw):
+    """m leading rows over m + l columns: couplings 0 or in [1e-3, 1] off the
+    diagonal, negated, and the diagonal that makes each row sum vanish."""
+    m = draw(st.integers(1, 8))
+    n = m + draw(st.integers(1, 4))
+    matrix = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            if j != i:
+                matrix[i, j] = -draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+        matrix[i, i] = -matrix[i].sum()
+    return matrix
+
+
+# two interior components, one of them with no boundary edge
+@example(np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, -0.5]]))
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_type_rows())
+def test_max_principle_singularity_matches_dense_rank(matrix):
+    m, n = matrix.shape
+    if np.linalg.matrix_rank(matrix[:, :m]) < m:
+        with pytest.raises(HypothesisViolated, match="singular"):
+            discrete_max_principle_check(matrix, np.ones(n), m, n)
+    else:
+        assert discrete_max_principle_check(matrix, np.ones(n), m, n) is True
 
 
 # -- graph demo ------------------------------------------------------------------------
