@@ -158,24 +158,33 @@ def _bench_one(d, h, exact_kind):
 
 
 def _manufactured(d, kind):
+    """Exact solution and load of the bench, vectorized: each takes the
+    (d, k) coordinate stack of k points and returns the k values."""
     if kind == "quadratic":
         if d != 1:
             raise DocumentError("the quadratic exact solution is one-dimensional")
-        return (lambda p: 0.5 * p[0] * (1.0 - p[0])), (lambda p: 1.0)
 
-    def exact_u(p):
-        return float(np.prod(np.sin(np.pi * np.asarray(p))))
+        def exact_u(p):
+            return 0.5 * p[0] * (1.0 - p[0])
 
-    def exact_f(p):
-        return d * np.pi * np.pi * exact_u(p)
+        def exact_f(p):
+            return 1.0
+    else:
 
+        def exact_u(p):
+            return np.prod(np.sin(np.pi * p), axis=0)
+
+        def exact_f(p):
+            return d * np.pi * np.pi * exact_u(p)
+
+    exact_u.vectorized = exact_f.vectorized = True
     return exact_u, exact_f
 
 
 def cmd_bench(args):
     try:
         h_list = [_parse_step(tok) for tok in args.h.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"cannot parse step list {args.h!r}: {exc}") from exc
     if not h_list:
         raise DocumentError("empty step list")

@@ -48,6 +48,7 @@ from .measure import (
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
 _OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
 _COORDINATES = ("x", "y", "z")
+_QUOTE_LIMIT = 80  # characters of an expression quoted in an error message
 
 
 def fmt(x):
@@ -77,6 +78,11 @@ def write_json(record, path=None):
     return payload
 
 
+def _quote(text):
+    """repr of text, cut to its first _QUOTE_LIMIT characters and an ellipsis."""
+    return repr(text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "…")
+
+
 def _vet(node, names, constants):
     """`node` with each numeric constant replaced by a name bound to its
     float64 in `constants`; ValueError on anything outside the grammar."""
@@ -102,7 +108,7 @@ def _vet(node, names, constants):
         name = f"_c{len(constants)}"
         constants[name] = np.float64(float(node.value))
         return ast.copy_location(ast.Name(name, ast.Load()), node)
-    raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+    raise ValueError(f"{_quote(ast.unparse(node))} is not allowed")
 
 
 def _compile_expression(expr, variables):
@@ -120,7 +126,7 @@ def _compile_expression(expr, variables):
         code = compile(ast.fix_missing_locations(tree), "<expression>", "eval")
     # the parser reports too deep a nesting as MemoryError or RecursionError
     except (TypeError, ValueError, SyntaxError, OverflowError, RecursionError, MemoryError) as exc:
-        raise DocumentError(f"invalid expression {expr!r}: {exc}") from exc
+        raise DocumentError(f"invalid expression {_quote(expr)}: {exc}") from exc
     namespace = {"__builtins__": {}, "pi": np.float64(math.pi), **_FUNCTIONS, **constants}
 
     def evaluate(**values):
@@ -128,7 +134,7 @@ def _compile_expression(expr, variables):
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 return eval(code, namespace, values)  # noqa: S307 - vetted tree
         except ArithmeticError as exc:
-            raise DocumentError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+            raise DocumentError(f"cannot evaluate expression {_quote(expr)}: {exc}") from exc
 
     return evaluate
 

@@ -133,7 +133,14 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, maxiter=None):
         values, vectors = values[:count], complement @ vectors[:, :count]
     else:
         shift = 1e-6 * spla.norm(b, np.inf) + 1e-30
-        factor = spla.splu(b + shift * sp.identity(n, format="csc"))
+        # B + sI is symmetric positive definite: a symmetric fill-reducing
+        # ordering with diagonal pivots needs no row interchanges
+        factor = spla.splu(
+            b + shift * sp.identity(n, format="csc"),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
         def project(x):
             return x - q @ (q.T @ x)

@@ -384,9 +384,10 @@ def quadrature_kernel(gamma, delta, measure, symmetry_tol=1e-12):
     is taken up to the measure's coordinate tolerance `lookup_tol`, so pairs
     at exactly delta (a lattice with delta a multiple of its step) are kept
     however their coordinates were rounded.  The density is probed once per
-    unordered pair within delta, in both orientations, and checked for
-    symmetry there; an asymmetric density is rejected rather than
-    symmetrized, since silent symmetrization would mask modeling errors.
+    unordered pair within delta, in both orientations, and checked there:
+    a non-finite or negative value is a ValueError, and an asymmetric density
+    is rejected rather than symmetrized, since silent symmetrization would
+    mask modeling errors.
 
     `gamma` is either a `(p, q) -> float` callable, probed pair by pair, or
     a vectorized density (marked by a true `gamma.vectorized` attribute, as
@@ -405,6 +406,10 @@ def quadrature_kernel(gamma, delta, measure, symmetry_tol=1e-12):
         pairs = list(zip(i.tolist(), j.tolist()))
         g_ij = np.array([float(gamma(pts[a], pts[b])) for a, b in pairs])
         g_ji = np.array([float(gamma(pts[b], pts[a])) for a, b in pairs])
+    nonfinite = np.flatnonzero(~(np.isfinite(g_ij) & np.isfinite(g_ji)))
+    if nonfinite.size:
+        k = nonfinite[0]
+        raise ValueError(f"density is not finite on pair ({i[k]}, {j[k]}): {g_ij[k]}, {g_ji[k]}")
     negative = (g_ij < 0.0) | (g_ji < 0.0)
     scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
     failing = np.flatnonzero(negative | (np.abs(g_ij - g_ji) > symmetry_tol * scale))

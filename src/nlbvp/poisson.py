@@ -101,8 +101,8 @@ def unit_cube_grid(d, h):
     """
     if d not in (1, 2, 3):
         raise BadStep(f"dimension {d} not supported; use 1, 2, or 3")
-    n_axis = round(1.0 / h)
-    if h <= 0.0 or abs(1.0 / h - n_axis) > 1e-9 or n_axis < 2:
+    n_axis = round(1.0 / h) if h > 0.0 and math.isfinite(1.0 / h) else 0
+    if n_axis < 2 or abs(1.0 / h - n_axis) > 1e-9:
         raise BadStep(f"step {h} is not the reciprocal of an integer >= 2")
     indices = np.array(list(itertools.product(range(n_axis + 1), repeat=d)))  # lexicographic
     measure = AtomicMeasure(indices * h, lookup_tol=h * 1e-9)
@@ -119,46 +119,28 @@ def build_stiffness(grid):
 
     This route never touches the kernel: entries come from integer lattice
     adjacency, so comparing against the assembled form is a genuine
-    cross-check of the assembly.
+    cross-check of the assembly.  Each node's integer key rint(x / h) is
+    looked up in a lattice array padded by one layer of -1 (no node), so
+    the 2d neighbour keys of every interior node are read without bounds
+    checks.
     """
     d, h, n_axis = grid.d, grid.h, grid.n_axis
-    domain = grid.domain
-    m, l = domain.m, domain.l
-    index_of = {}
-    for local, node in enumerate(domain.order):
-        key = tuple(int(round(c / h)) for c in grid.measure.points[node])
-        index_of[key] = local
-
-    def neighbors(key):
-        for axis in range(d):
-            for step in (1, -1):
-                nb = list(key)
-                nb[axis] += step
-                if 0 <= nb[axis] <= n_axis:
-                    yield tuple(nb)
-
-    rows_o, cols_o, vals_o = [], [], []
-    rows_g, cols_g, vals_g = [], [], []
-    for key, j in index_of.items():
-        if j >= m:
-            continue
-        rows_o.append(j)
-        cols_o.append(j)
-        vals_o.append(2 * d)
-        for nb in neighbors(key):
-            k = index_of.get(nb)
-            if k is None:
-                continue
-            if k < m:
-                rows_o.append(j)
-                cols_o.append(k)
-                vals_o.append(-1)
-            else:
-                rows_g.append(j)
-                cols_g.append(k - m)
-                vals_g.append(-1)
-    block_omega = sp.coo_matrix((vals_o, (rows_o, cols_o)), shape=(m, m)).tocsr()
-    block_gamma = sp.coo_matrix((vals_g, (rows_g, cols_g)), shape=(m, l)).tocsr()
+    m, l = grid.domain.m, grid.domain.l
+    keys = np.rint(grid.measure.points[grid.domain.order] / h).astype(int).T + 1
+    local = np.full((n_axis + 3,) * d, -1)
+    local[tuple(keys)] = np.arange(m + l)
+    rows, cols = [np.arange(m)], [np.arange(m)]
+    for axis, step in itertools.product(range(d), (1, -1)):
+        neighbour = keys[:, :m].copy()
+        neighbour[axis] += step
+        k = local[tuple(neighbour)]
+        rows.append(np.flatnonzero(k >= 0))
+        cols.append(k[k >= 0])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    values = np.where(rows == cols, 2 * d, -1)
+    inner = cols < m
+    block_omega = sp.csr_matrix((values[inner], (rows[inner], cols[inner])), shape=(m, m))
+    block_gamma = sp.csr_matrix((values[~inner], (rows[~inner], cols[~inner] - m)), shape=(m, l))
     identity = sp.identity(l, format="csr")
     scale = 1.0 / (h * h)
     a_dirichlet = sp.bmat(
@@ -180,29 +162,45 @@ def build_stiffness(grid):
     )
 
 
+def _sample(func, points):
+    """Values of func at the rows of points (k, d): one call on the (d, k)
+    coordinate stack when func.vectorized is true (a scalar result is
+    broadcast), else one call per point."""
+    if getattr(func, "vectorized", False):
+        values = np.empty(points.shape[0])
+        values[...] = func(points.T)
+        return values
+    return np.array([func(p) for p in points], dtype=float)
+
+
 def manufactured_solve(grid, form, exact_u, exact_f, solve_tol=1e-13):
     """Dirichlet solve on a built grid and form against a manufactured solution.
 
     exact_u must vanish on the cube boundary (checked on the boundary
-    nodes); the load is sampled from exact_f at the interior nodes.
+    nodes); the load is sampled from exact_f at the interior nodes.  Each
+    of exact_u, exact_f is a `p -> float` callable of one point, or, when
+    it carries a true `vectorized` attribute (the marker `quadrature_kernel`
+    also honours), a function called once on the (d, k) coordinate stack
+    that returns the k values.
     Returns (max-norm error over the interior, solution).
     """
     pts_omega = grid.measure.points[grid.domain.omega]
-    pts_gamma = grid.measure.points[grid.domain.gamma]
-    trace = np.array([exact_u(p) for p in pts_gamma])
+    trace = _sample(exact_u, grid.measure.points[grid.domain.gamma])
     if np.any(np.abs(trace) > 1e-12):
         raise ValueError("exact_u must vanish on the cube boundary")
-    f = np.array([exact_f(p) for p in pts_omega])
+    f = _sample(exact_f, pts_omega)
     solution = solve_dirichlet(DirichletProblem(form, f, np.zeros(grid.l)), tol=solve_tol)
-    reference = np.array([exact_u(p) for p in pts_omega])
+    reference = _sample(exact_u, pts_omega)
     return float(np.max(np.abs(solution.u[: grid.m] - reference))), solution
 
 
 def convergence_study(d, exact_u, exact_f, h_list, solve_tol=1e-13):
     """Dirichlet solves against a manufactured solution over decreasing steps.
 
-    Each step builds its grid and form and runs `manufactured_solve`; the
-    observed order compares consecutive steps.
+    Each step builds its grid and form and runs `manufactured_solve`, so
+    exact_u and exact_f may be per-point callables or carry the
+    `vectorized` marker described there; the observed order compares
+    consecutive steps.
     """
     h_list = list(h_list)
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):

@@ -242,6 +242,10 @@ def test_bench_second_order(tmp_path, capsys):
 def test_bench_invalid_step(tmp_path, capsys):
     assert cli.main(["bench", "--d", "2", "--h", "0.3"]) == 1
     assert cli.main(["bench", "--d", "2", "--h", "nope"]) == 1
+    assert cli.main(["bench", "--d", "2", "--h", "1/0"]) == 1
+    assert cli.main(["bench", "--d", "2", "--h", "0"]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 4 and all(line.startswith("error: ") for line in errors)
 
 
 def test_bench_writes_report_and_plot_data(tmp_path):
@@ -432,8 +436,9 @@ def test_expression_underflow_is_zero_and_constants_broadcast():
     ids=["divide", "sqrt", "overflow", "power", "deep-unary", "deep-binary"],
 )
 def test_expression_errors_are_document_errors(expr):
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as excinfo:
         fileio.evaluate_expression(expr, np.array([[0.0], [0.5]]))
+    assert len(str(excinfo.value)) < 500  # a bounded prefix of the expression
 
 
 # -- formatting helpers --------------------------------------------------------------

@@ -206,6 +206,20 @@ def test_quadrature_rejects_asymmetric_density():
         quadrature_kernel(lambda p, q: 1.0 + p[0] - q[0], 0.6, measure)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_quadrature_rejects_nonfinite_density(value, vectorized):
+    measure = AtomicMeasure([[0.0], [0.25], [0.5]])
+
+    def gamma(p, q):
+        # finite except on the pair of nodes 1 and 2
+        return np.where(np.minimum(p[0], q[0]) > 0.1, value, 1.0)
+
+    gamma.vectorized = vectorized
+    with pytest.raises(ValueError, match=r"not finite on pair \(1, 2\)"):
+        quadrature_kernel(gamma, 0.3, measure)
+
+
 # -- nonlocal boundary ---------------------------------------------------------------
 
 

@@ -25,6 +25,7 @@ from nlbvp import (
     v_norm_sq,
 )
 from nlbvp.errors import BadStep, HypothesisViolated
+from nlbvp.poisson import manufactured_solve
 
 from conftest import interval_setup, square_setup
 
@@ -54,6 +55,8 @@ def test_grid_rejects_bad_steps():
         unit_cube_grid(2, 1.0)
     with pytest.raises(BadStep):
         unit_cube_grid(4, 0.25)
+    with pytest.raises(BadStep):
+        unit_cube_grid(2, 0.0)
 
 
 def test_corners_stay_exterior():
@@ -93,6 +96,22 @@ def test_assembled_form_equals_neumann_stiffness(d, h):
     pair = build_stiffness(grid)
     diff = (form.matrix - pair.a_neumann).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+
+
+@pytest.mark.parametrize("d,n_axis", [(2, 4), (2, 8), (3, 4), (3, 8)])
+def test_stiffness_omega_block_is_kronecker_sum(d, n_axis):
+    # sum over axes of I (x) ... (x) T (x) ... (x) I, T = tridiag(-1, 2, -1),
+    # in the lexicographic node order of the grid
+    k = n_axis - 1
+    ones = np.ones(k)
+    second_difference = sp.diags([-ones[1:], 2.0 * ones, -ones[1:]], [-1, 0, 1])
+    laplacian = sum(
+        sp.kron(sp.kron(sp.identity(k**axis), second_difference), sp.identity(k ** (d - 1 - axis)))
+        for axis in range(d)
+    )
+    block = build_stiffness(unit_cube_grid(d, 1.0 / n_axis)).block_omega
+    assert block.shape == laplacian.shape
+    assert abs(block - laplacian).max() == 0.0
 
 
 def test_dirichlet_stiffness_inverse_blocks():
@@ -198,6 +217,30 @@ def test_convergence_second_order_2d():
     for row in rows[1:]:
         assert 1.8 <= row.order <= 2.2
     assert rows[-1].max_error < rows[0].max_error
+
+
+def test_manufactured_solve_vectorized_matches_per_point():
+    grid = unit_cube_grid(3, 0.125)
+    form = assemble_form(grid.kernel, grid.measure, grid.domain)
+
+    def plain_u(p):
+        return float(np.prod(np.sin(np.pi * np.asarray(p))))
+
+    def plain_f(p):
+        return 3 * np.pi * np.pi * plain_u(p)
+
+    def stacked_u(p):
+        return np.prod(np.sin(np.pi * p), axis=0)
+
+    def stacked_f(p):
+        return 3 * np.pi * np.pi * stacked_u(p)
+
+    stacked_u.vectorized = stacked_f.vectorized = True
+    error, solution = manufactured_solve(grid, form, plain_u, plain_f)
+    stacked_error, stacked_solution = manufactured_solve(grid, form, stacked_u, stacked_f)
+    assert 0.0 < error < 0.02
+    assert stacked_error == error
+    assert np.array_equal(stacked_solution.u, solution.u)
 
 
 def test_convergence_quadratic_exact_1d():
