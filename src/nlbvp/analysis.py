@@ -91,6 +91,31 @@ def _scaled_diag_max(matrix, masses):
     return float(np.max(diag / masses)) if diag.size else 0.0
 
 
+def _components(form, tol=None):
+    """Connected components of the form's coupling graph after weak couplings
+    are dropped, as (tol, count, labels); see `nullspace` for the rule."""
+    n = form.n
+    if tol is None:
+        tol = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.matrix, form.mass_diag), 1e-300)
+    if tol <= 0.0:
+        raise ValueError("nullspace tolerance must be positive")
+    # the couplings above the diagonal, read off the CSR arrays
+    matrix = form.matrix
+    row = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    upper = matrix.indices > row
+    row, col = row[upper], matrix.indices[upper]
+    inverse_mass = 1.0 / form.mass_diag
+    weight = np.abs(matrix.data[upper]) * (inverse_mass[row] + inverse_mass[col])
+    weak = weight < tol
+    # by Cauchy-Schwarz the dropped couplings shift the pencil by at most the
+    # largest per-node sum of their weights
+    weak_sum = np.bincount(row[weak], weight[weak], n) + np.bincount(col[weak], weight[weak], n)
+    kept = ~weak | (weak_sum[row] >= tol) | (weak_sum[col] >= tol)
+    graph = sp.coo_matrix((np.ones(np.count_nonzero(kept)), (row[kept], col[kept])), shape=(n, n))
+    count, labels = csgraph.connected_components(graph, directed=False)
+    return tol, count, labels
+
+
 def nullspace(form, tol=None):
     """Basis of the numerical kernel of the form.
 
@@ -109,35 +134,11 @@ def nullspace(form, tol=None):
     Columns are the mass-normalized indicators, in the order of each
     component's first node.
     """
-    n = form.n
-    if tol is None:
-        tol = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.matrix, form.mass_diag), 1e-300)
-    if tol <= 0.0:
-        raise ValueError("nullspace tolerance must be positive")
-    coupling = sp.triu(form.matrix, k=1).tocoo()
-    inverse_mass = 1.0 / form.mass_diag
-    weight = np.abs(coupling.data) * (inverse_mass[coupling.row] + inverse_mass[coupling.col])
-    weak = weight < tol
-    # by Cauchy-Schwarz the dropped couplings shift the pencil by at most the
-    # largest per-node sum of their weights
-    weak_sum = np.bincount(coupling.row[weak], weight[weak], n) + np.bincount(
-        coupling.col[weak], weight[weak], n
-    )
-    kept = ~weak | (weak_sum[coupling.row] >= tol) | (weak_sum[coupling.col] >= tol)
-    graph = sp.coo_matrix(
-        (np.ones(np.count_nonzero(kept)), (coupling.row[kept], coupling.col[kept])),
-        shape=(n, n),
-    )
-    k, labels = csgraph.connected_components(graph, directed=False)
-    vectors = np.zeros((n, k))
-    vectors[np.arange(n), labels] = 1.0
+    tol, k, labels = _components(form, tol)
+    vectors = np.zeros((form.n, k))
+    vectors[np.arange(form.n), labels] = 1.0
     vectors /= np.sqrt(form.mass_diag @ vectors)
-    return NullspaceBasis(
-        vectors=vectors,
-        eigenvalues=np.zeros(k),
-        tolerance=tol,
-        domain=form.domain,
-    )
+    return NullspaceBasis(vectors=vectors, eigenvalues=np.zeros(k), tolerance=tol, domain=form.domain)
 
 
 def project_out_kernel(u, basis, measure):
@@ -165,22 +166,14 @@ def friedrichs_constant(form):
     vanishing on the boundary; +inf when the interior block is singular.
 
     Computed from the smallest eigenvalue of the interior-block pencil
-    (omega_block, interior masses); results are cached on the form.
+    (omega_block, interior masses).
     """
-    cached = form._cache.get("friedrichs")
-    if cached is not None:
-        return cached
     m = form.domain.m
     tol = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.omega_block, form.mass_omega), 1e-300)
     lam, vec = linalg.smallest_eigenpairs(form.omega_block, form.mass_omega, count=1)
     witness = np.zeros(form.n)
     witness[:m] = vec[:, 0]
-    if lam[0] <= tol:
-        report = InequalityReport(constant=np.inf, eigenvalue=lam[0], witness=witness)
-    else:
-        report = InequalityReport(constant=1.0 / lam[0], eigenvalue=lam[0], witness=witness)
-    form._cache["friedrichs"] = report
-    return report
+    return _gap_report(lam, witness, tol)
 
 
 def _gap_report(lam, witness, tolerance):

@@ -21,7 +21,7 @@ and residuals sum the atoms w (u_x - u_y) of each row of K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +55,6 @@ class AssembledForm:
     mass_omega: np.ndarray
     domain: object
     measure: object
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self):

@@ -5,7 +5,8 @@ Exit codes form a stable contract:
     0  success
     1  document/parameter errors
     2  incompatible Neumann data (load pairs with the nullspace)
-    3  ill-posed problem (Friedrichs or Poincare inequality fails)
+    3  ill-posed problem (Friedrichs or Poincare inequality fails, or the
+       zeroth-order term leaves a kernel)
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     IncompatibleData,
     NlbvpError,
     PoincareViolated,
+    SingularAfterRegularization,
 )
 from .measure import symmetry_defect
 from .solvers import (
@@ -245,7 +247,7 @@ def main(argv=None):
     except IncompatibleData as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (FriedrichsViolated, PoincareViolated) as exc:
+    except (FriedrichsViolated, PoincareViolated, SingularAfterRegularization) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (DocumentError, NlbvpError, OSError, ValueError) as exc:

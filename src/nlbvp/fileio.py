@@ -171,13 +171,15 @@ def radial_density(expr):
 # -- solution tables -----------------------------------------------------------
 
 def write_solution_table(solution, domain, measure, path=None):
-    """Per-node table: index, coordinates, region, value (tab-separated)."""
+    """Per-node table: index, coordinates, region, value (tab-separated),
+    every number as `fmt` writes it (one %-format per row)."""
     u = solution.u if hasattr(solution, "u") else solution
+    points = measure.points[domain.order]
+    row = "%d\t" + ",".join(["%.17g"] * points.shape[1]) + "\t%s\t%.17g"
+    regions = ["omega"] * domain.m + ["gamma"] * domain.l
+    rows = zip(domain.order.tolist(), points.tolist(), regions, np.asarray(u, dtype=float).tolist())
     lines = ["# node\tcoords\tregion\tvalue"]
-    for local, node in enumerate(domain.order):
-        coords = ",".join(fmt(c) for c in measure.points[node])
-        region = "omega" if local < domain.m else "gamma"
-        lines.append(f"{int(node)}\t{coords}\t{region}\t{fmt(u[local])}")
+    lines += [row % (node, *coords, region, value) for node, coords, region, value in rows]
     text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w") as handle:
@@ -220,22 +222,12 @@ def write_matrix_coo(matrix, path):
 
 def write_bench_report(rows, path=None):
     """Benchmark table: h, m, l, max_error, order, friedrichs_C, poincare_C, runtime_ms."""
+    reals = ("max_error", "order", "friedrichs_C", "poincare_C", "runtime_ms")
     lines = ["# h\tm\tl\tmax_error\torder\tfriedrichs_C\tpoincare_C\truntime_ms"]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                [
-                    fmt(row["h"]),
-                    str(row["m"]),
-                    str(row["l"]),
-                    fmt(row["max_error"]),
-                    fmt(row["order"]),
-                    fmt(row["friedrichs_C"]),
-                    fmt(row["poincare_C"]),
-                    fmt(row["runtime_ms"]),
-                ]
-            )
-        )
+    lines += [
+        "\t".join([fmt(row["h"]), str(row["m"]), str(row["l"])] + [fmt(row[key]) for key in reals])
+        for row in rows
+    ]
     text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w") as handle:

@@ -73,8 +73,8 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
             if true_res <= tol * rhs_norm:
                 return x, true_res / rhs_norm, k - 1
             raise NoConvergence(
-                f"CG breakdown at iteration {k}: matrix is not positive definite "
-                "on the search space"
+                f"CG breakdown at iteration {k} on a size-{n} system: matrix is not "
+                "positive definite on the search space"
             )
         alpha = rs / pap
         x = x + alpha * p
@@ -95,8 +95,8 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
     if true_res <= tol * rhs_norm:
         return x, true_res / rhs_norm, maxiter
     raise NoConvergence(
-        f"CG did not reach relative residual {tol} in {maxiter} iterations "
-        f"(reached {true_res / rhs_norm:.3e})"
+        f"CG did not reach relative residual {tol} in {maxiter} iterations on a "
+        f"size-{n} system (reached {true_res / rhs_norm:.3e})"
     )
 
 

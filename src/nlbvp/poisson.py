@@ -141,25 +141,12 @@ def build_stiffness(grid):
     inner = cols < m
     block_omega = sp.csr_matrix((values[inner], (rows[inner], cols[inner])), shape=(m, m))
     block_gamma = sp.csr_matrix((values[~inner], (rows[~inner], cols[~inner] - m)), shape=(m, l))
-    identity = sp.identity(l, format="csr")
     scale = 1.0 / (h * h)
-    a_dirichlet = sp.bmat(
-        [[scale * block_omega, scale * block_gamma], [None, scale * identity]],
-        format="csr",
-    )
-    a_neumann = sp.bmat(
-        [
-            [scale * block_omega, scale * block_gamma],
-            [scale * block_gamma.T, scale * identity],
-        ],
-        format="csr",
-    )
-    return StiffnessPair(
-        a_dirichlet=a_dirichlet,
-        a_neumann=a_neumann,
-        block_omega=block_omega,
-        block_gamma=block_gamma,
-    )
+    top = [scale * block_omega, scale * block_gamma]
+    identity = scale * sp.identity(l, format="csr")
+    a_dirichlet = sp.bmat([top, [None, identity]], format="csr")
+    a_neumann = sp.bmat([top, [scale * block_gamma.T, identity]], format="csr")
+    return StiffnessPair(a_dirichlet, a_neumann, block_omega, block_gamma)
 
 
 def _sample(func, points):

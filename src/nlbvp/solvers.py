@@ -8,6 +8,11 @@ Neumann: the full singular system is solved by conjugate gradients with the
 load projected onto the range and every iterate projected against the
 nullspace; the returned representative is mass-orthogonal to the nullspace.
 
+Each solve first checks well-posedness on the kept-coupling components of
+the form's graph (`analysis.nullspace`'s rule and tolerance), with no
+eigensolve: the kernel of a graph Laplacian is spanned by its component
+indicators.
+
 All solves start from a deterministic vector (zeros unless overridden) so
 repeated runs are bit-reproducible.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import analysis, linalg
@@ -82,20 +88,37 @@ def _compat_tol(problem):
     return COMPAT_TOL_FACTOR * max(scale, 1.0)
 
 
+def _spans_components(basis, labels, count, masses):
+    """True when the basis spans every component indicator: in the scaled
+    coordinates sqrt(masses) v each mass-normalized indicator keeps unit
+    length under projection onto the basis span (the diagonal of the k x k
+    Gram); a missing one loses an order-one share, rounding O(n eps)."""
+    root = np.sqrt(masses)
+    q = scipy.linalg.orth(basis.vectors * root[:, None])
+    weight = root / np.sqrt(np.bincount(labels, masses, count))[labels]
+    captured = sp.csr_matrix((weight, (labels, np.arange(labels.size))), (count, labels.size)) @ q
+    return bool(np.all(np.sum(captured * captured, axis=1) >= 1.0 - 1e-8))
+
+
 def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None):
     """Solve for the unique function with the prescribed boundary values whose
     energy pairing against every interior test vector matches the load.
 
-    Raises FriedrichsViolated when the interior block is singular (the
-    problem is not well-posed) and NoConvergence when CG stalls.
+    Raises FriedrichsViolated when the interior block is singular, that is,
+    when some component holds an interior node but no boundary node (every
+    other interior row chains to a row coupled to the boundary), and
+    NoConvergence when CG stalls.
     """
     form = problem.form
-    if not np.isfinite(analysis.friedrichs_constant(form).constant):
-        raise FriedrichsViolated(
-            "interior block is singular: the Friedrichs inequality fails and "
-            "the Dirichlet problem has no unique solution"
-        )
     m = form.domain.m
+    _, _, labels = analysis._components(form)
+    stranded = np.count_nonzero(~np.isin(labels[:m], labels[m:]))
+    if stranded:
+        raise FriedrichsViolated(
+            f"interior block is singular ({stranded} of {m} interior nodes reach no "
+            "boundary node): the Friedrichs inequality fails and the Dirichlet "
+            "problem has no unique solution"
+        )
     rhs = problem.f * form.mass_omega - form.gamma_block @ problem.g
     x, residual, iterations = linalg.conjugate_gradient(
         form.omega_block, rhs, tol=tol, x0=x0
@@ -107,13 +130,14 @@ def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None):
 def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
     """Solve the flux problem on the orthogonal complement of the nullspace.
 
-    Requires a finite Poincare constant (spectral gap above the nullspace)
-    and a compatible load.  The returned representative is mass-orthogonal
-    to every nullspace vector; any other solution differs from it by a
-    nullspace element only.
+    Requires a spectral gap above the nullspace, that is, a basis spanning
+    every component indicator at the basis tolerance, and a compatible load.
+    The returned representative is mass-orthogonal to every nullspace
+    vector; any other solution differs from it by a nullspace element only.
     """
     form = problem.form
-    if not np.isfinite(analysis.poincare_constant(form, basis, variant="full").constant):
+    _, count, labels = analysis._components(form, basis.tolerance)
+    if not _spans_components(basis, labels, count, form.mass_diag):
         raise PoincareViolated(
             "no spectral gap above the nullspace: the Poincare inequality fails"
         )
@@ -149,10 +173,11 @@ def solve_regularized(problem, c, tol=DEFAULT_SOLVE_TOL):
     """Solve the flux problem for the operator augmented by a zeroth-order
     term c >= 0 on the interior.
 
-    A strictly positive term removes the constant-function kernel on
-    connected domains, so no compatibility condition and no projection are
-    needed; this is verified by an eigenvalue check at solve time.  With
-    c identically zero the call reduces exactly to the plain flux solve.
+    The term removes the kernel of every component holding a node with c at
+    or above the tolerance, so no compatibility condition and no projection
+    are needed; SingularAfterRegularization is raised when some component
+    holds none.  With c identically zero the call reduces exactly to the
+    plain flux solve.
     """
     form = problem.form
     m = form.domain.m
@@ -163,17 +188,16 @@ def solve_regularized(problem, c, tol=DEFAULT_SOLVE_TOL):
         raise ValueError("the zeroth-order coefficient must be non-negative")
     if not np.any(c > 0.0):
         return solve_neumann(problem, analysis.nullspace(form), tol=tol)
+    gap_tol, count, labels = analysis._components(form)
+    uncovered = count - np.unique(labels[:m][c >= gap_tol]).size
+    if uncovered:
+        raise SingularAfterRegularization(
+            f"augmented system still has a numerical kernel: {uncovered} of {count} "
+            f"graph components hold no node with c >= {gap_tol:.3e}"
+        )
     shift = np.zeros(form.n)
     shift[:m] = c * form.mass_omega
     augmented = (form.matrix + sp.diags(shift)).tocsr()
-    lam, _ = linalg.smallest_eigenpairs(augmented, form.mass_diag, count=1)
-    gap_tol = analysis.NULLSPACE_TOL_FACTOR * max(
-        float(np.max(augmented.diagonal() / form.mass_diag)), 1e-300
-    )
-    if lam[0] <= gap_tol:
-        raise SingularAfterRegularization(
-            f"augmented system still has a numerical kernel (eigenvalue {lam[0]:.3e})"
-        )
     b = form.mass_diag * np.concatenate([problem.f, problem.g])
     x, residual, iterations = linalg.conjugate_gradient(augmented, b, tol=tol)
     return Solution(u=x, residual=residual, iterations=iterations, projected=False, kind="regularized")

@@ -8,9 +8,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +112,44 @@ def test_solve_singular_interior_exits_3(tmp_path, capsys):
     }
     path = write_doc(tmp_path, "doc.json", data)
     assert cli.main(["solve", path]) == 3
+
+
+DISCONNECTED = {
+    "family": "stencil",
+    "dimension": 1,
+    "h": 1.0,
+    "nodes": [[0.0], [1.0], [2.0], [5.0], [6.0]],
+    "omega": [1, 3, 4],
+}
+
+
+def test_solve_path_runs_no_eigensolve_and_no_factorization(tmp_path, monkeypatch, capsys):
+    """The well-posedness gates of `solve` are graph checks: with the
+    eigensolver and the sparse LU refusing to run, every problem kind still
+    solves, and ill-posed documents still exit 3."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve path ran an eigensolve or a factorization")
+
+    monkeypatch.setattr(nlbvp.linalg, "smallest_eigenpairs", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    well_posed = {
+        "dirichlet": interval_doc({"kind": "dirichlet", "f": "1", "g": "0"}),
+        "neumann": interval_doc({"kind": "neumann", "f": "x - 0.5", "g": "0"}),
+        "regularized": interval_doc({"kind": "regularized", "f": "1", "g": "0", "c": "1"}),
+    }
+    for kind, data in well_posed.items():
+        assert cli.main(["solve", write_doc(tmp_path, f"{kind}.json", data)]) == 0, kind
+    capsys.readouterr()
+    ill_posed = {
+        "dirichlet": {"kind": "dirichlet", "f": "0", "g": "0"},
+        # c covers the component of node 1 and leaves {5, 6} without a term
+        "regularized": {"kind": "regularized", "f": "0", "g": "0", "c": [1.0, 0.0, 0.0]},
+    }
+    for kind, problem in ill_posed.items():
+        path = write_doc(tmp_path, f"ill_{kind}.json", dict(DISCONNECTED, problem=problem))
+        assert cli.main(["solve", path]) == 3, kind
+    assert "kernel" in capsys.readouterr().err
 
 
 def test_solve_empty_omega_exits_1(tmp_path, capsys):
@@ -447,6 +487,19 @@ def test_expression_errors_are_document_errors(expr):
 def test_float_format_roundtrips():
     for x in (0.1, 1.0 / 3.0, np.pi, 1e-300, 123456.789):
         assert float(fileio.fmt(x)) == x
+
+
+def test_solution_table_matches_fmt_on_extreme_values():
+    extremes = [-0.0, 5e-324, 1e308, math.inf, math.nan]
+    domain = SimpleNamespace(order=np.array([3, 0, 4, 1, 2]), m=3, l=2)
+    measure = SimpleNamespace(points=np.column_stack([extremes, np.roll(extremes, 1)]))
+    u = np.array(extremes)
+    expected = ["# node\tcoords\tregion\tvalue"]
+    for local, node in enumerate(domain.order):
+        coords = ",".join(fileio.fmt(c) for c in measure.points[node])
+        region = "omega" if local < domain.m else "gamma"
+        expected.append(f"{node}\t{coords}\t{region}\t{fileio.fmt(u[local])}")
+    assert fileio.write_solution_table(u, domain, measure) == "\n".join(expected) + "\n"
 
 
 def test_matrix_coo_export(tmp_path):

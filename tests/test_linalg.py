@@ -35,6 +35,10 @@ def test_cg_iteration_cap(rng):
     b = rng.standard_normal(30)
     with pytest.raises(NoConvergence):
         conjugate_gradient(a, b, tol=1e-13, maxiter=2)
+    with pytest.raises(NoConvergence, match=r"3 iterations on a size-30 system"):
+        conjugate_gradient(a, b, tol=1e-13, maxiter=3)
+    with pytest.raises(NoConvergence, match=r"breakdown at iteration 1 on a size-30 system"):
+        conjugate_gradient(-a, b, maxiter=3)
 
 
 def test_cg_is_deterministic(rng):

@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlbvp import (
+    AtomicMeasure,
     DirichletProblem,
     NeumannProblem,
+    TransitionKernel,
+    assemble_form,
     bilinear,
     energy_dirichlet,
     energy_neumann,
+    nonlocal_boundary,
     nullspace,
     solve_dirichlet,
     solve_neumann,
@@ -201,6 +208,96 @@ def test_regularized_weak_maximum_principle(rng):
         )
         boundary_plus = np.maximum(sol.u[grid.m :], 0.0)
         assert np.max(sol.u[: grid.m]) <= np.max(boundary_plus) + 1e-12
+
+
+# -- structural gates against dense eigenvalue gates --------------------------------
+
+
+@st.composite
+def gated_graphs(draw):
+    """Symmetric weights W (each 0 or in [1e-3, 1]) coupling only nodes of
+    the same block, so that components with no boundary node or with no c
+    are common; masses in [0.5, 2], an interior set, interior c values (each
+    0 or in [1e-3, 1]) and which nullspace columns a truncated basis keeps."""
+    n = draw(st.integers(2, 12))
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if block[i] == block[j]:
+                w = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+                weights[i, j] = weights[j, i] = w
+    masses = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    c = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=len(omega), max_size=len(omega)))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return weights, masses, omega, np.array(c), np.array(keep)
+
+
+def dense_smallest(matrix, masses, complement=None):
+    """Smallest eigenvalue of the dense mass pencil on the scaled-coordinate
+    complement (all of it by default); None when the complement is empty."""
+    scale = 1.0 / np.sqrt(masses)
+    b = scale[:, None] * matrix * scale
+    if complement is not None:
+        b = complement.T @ b @ complement
+    return scipy.linalg.eigvalsh(b)[0] if b.size else None
+
+
+def raises(error, solve):
+    try:
+        solve()
+    except error:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_graphs())
+def test_structural_gates_match_dense_eigenvalue_gates(graph):
+    weights, masses, omega, c, keep = graph
+    n = len(masses)
+    measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
+    support = [
+        [(j, weights[i, j] / masses[i]) for j in range(n) if weights[i, j] > 0.0]
+        for i in range(n)
+    ]
+    kernel = TransitionKernel(support, "quadrature")
+    domain = nonlocal_boundary(kernel, omega, measure)
+    form = assemble_form(kernel, measure, domain)
+    m, l = domain.m, domain.l
+    full = nullspace(form)
+    off_diagonal = np.abs((form.matrix - np.diag(form.matrix.diagonal())).data)
+    assert np.all((off_diagonal == 0.0) | (off_diagonal >= 1e3 * full.tolerance))
+    assert np.all((c == 0.0) | (c >= 1e3 * full.tolerance))
+    zero = (np.zeros(m), np.zeros(l))
+
+    # Dirichlet: the gate of the Friedrichs constant on the interior block
+    omega_tol = 1e-9 * max(np.max(form.omega_block.diagonal() / form.mass_omega), 1e-300)
+    singular = dense_smallest(form.omega_block.toarray(), form.mass_omega) <= omega_tol
+    assert raises(FriedrichsViolated, lambda: solve_dirichlet(DirichletProblem(form, *zero))) == singular
+
+    # Neumann: the gap above a truncated basis, by deflation
+    truncated = NullspaceBasis(
+        vectors=full.vectors[:, keep[: full.dimension]],
+        eigenvalues=full.eigenvalues[keep[: full.dimension]],
+        tolerance=full.tolerance,
+        domain=domain,
+    )
+    for basis in (full, truncated):
+        complement = scipy.linalg.null_space((basis.vectors * np.sqrt(form.mass_diag)[:, None]).T)
+        lam = dense_smallest(form.matrix.toarray(), form.mass_diag, complement)
+        no_gap = lam is not None and lam <= basis.tolerance
+        assert raises(PoincareViolated, lambda: solve_neumann(NeumannProblem(form, *zero), basis)) == no_gap
+
+    # regularized: the kernel of the augmented pencil (c = 0 is the plain solve)
+    shift = np.zeros(form.n)
+    shift[:m] = c * form.mass_omega
+    augmented = form.matrix.toarray() + np.diag(shift)
+    gap_tol = 1e-9 * np.max(np.diag(augmented) / form.mass_diag)
+    left = np.any(c > 0.0) and dense_smallest(augmented, form.mass_diag) <= gap_tol
+    problem = NeumannProblem(form, *zero)
+    assert raises(SingularAfterRegularization, lambda: solve_regularized(problem, c)) == left
 
 
 # -- strong residuals --------------------------------------------------------------
