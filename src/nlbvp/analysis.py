@@ -30,6 +30,7 @@ from .errors import EmptyGamma, NonPositiveC
 
 NULLSPACE_TOL_FACTOR = 1e-9  # default eigenvalue threshold: factor * largest diagonal
 MAX_PRINCIPLE_TOL = 1e-12
+STRONG_POINCARE_TOL = 1e-10  # spread of the kernel vector, relative to its size
 
 
 @dataclass
@@ -236,7 +237,7 @@ def poincare_constant(form, basis, variant="full"):
     raise ValueError(f"unknown Poincare variant {variant!r}")
 
 
-def strong_poincare_check(basis, rel_tol=1e-10):
+def strong_poincare_check(basis):
     """True when the nullspace is exactly the constants: then the mean-zero
     inequality and the projected inequality coincide."""
     if basis.dimension != 1:
@@ -245,7 +246,7 @@ def strong_poincare_check(basis, rel_tol=1e-10):
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         return False
-    return float(np.max(np.abs(w - w.mean()))) <= rel_tol * scale
+    return float(np.max(np.abs(w - w.mean()))) <= STRONG_POINCARE_TOL * scale
 
 
 def trace_weight(kernel, domain, variant="sufficient", c=None):
@@ -336,29 +337,3 @@ def friedrichs_chain_holds(kernel, domain, measure, partition):
         previous = ids
     return True
 
-
-def diagnostic_record(
-    symmetry_defect_value=None,
-    gamma_size=None,
-    nullspace_dim=None,
-    friedrichs=None,
-    poincare_omega=None,
-    poincare_full=None,
-    compatibility=None,
-    max_principle=None,
-):
-    """Flat report dict used by the diagnostics export."""
-
-    def constant(report):
-        return None if report is None else report.constant
-
-    return {
-        "symmetry_defect": symmetry_defect_value,
-        "gamma_size": gamma_size,
-        "nullspace_dim": nullspace_dim,
-        "friedrichs_constant": constant(friedrichs),
-        "poincare_constant_omega": constant(poincare_omega),
-        "poincare_constant_full": constant(poincare_full),
-        "compatibility_defect": compatibility,
-        "max_principle": max_principle,
-    }

@@ -59,7 +59,7 @@ def cmd_solve(args):
     if doc.kind is None:
         raise DocumentError("document has no problem block to solve")
     form = assemble_form(doc.kernel, doc.measure, doc.domain)
-    tol = args.tol if args.tol is not None else doc.tol
+    tol = doc.tol if args.tol is None else fileio.positive_finite(args.tol, "--tol")
     if doc.kind == "dirichlet":
         solution = solve_dirichlet(DirichletProblem(form, doc.f, doc.g), tol=tol)
     elif doc.kind == "neumann":
@@ -106,16 +106,16 @@ def cmd_diagnose(args):
         if doc.kind == "dirichlet" and np.isfinite(friedrichs.constant) and doc.domain.l:
             solution = solve_dirichlet(DirichletProblem(form, doc.f, doc.g), tol=doc.tol)
             principle = analysis.max_principle_check(solution.u, form, doc.domain)
-    record = analysis.diagnostic_record(
-        symmetry_defect_value=defect,
-        gamma_size=doc.domain.l,
-        nullspace_dim=basis.dimension,
-        friedrichs=friedrichs,
-        poincare_omega=poincare_omega,
-        poincare_full=poincare_full,
-        compatibility=compat,
-        max_principle=principle,
-    )
+    record = {
+        "symmetry_defect": defect,
+        "gamma_size": doc.domain.l,
+        "nullspace_dim": basis.dimension,
+        "friedrichs_constant": friedrichs.constant,
+        "poincare_constant_omega": poincare_omega.constant,
+        "poincare_constant_full": poincare_full.constant,
+        "compatibility_defect": compat,
+        "max_principle": principle,
+    }
     if doc.domain.l:
         weight = analysis.trace_weight(doc.kernel, doc.domain, variant="sufficient")
         record["trace_weight_sufficient"] = [float(v) for v in weight.values]

@@ -44,7 +44,7 @@ class NodeNotInGamma(NlbvpError):
 # -- analysis ------------------------------------------------------------------
 
 class EigensolverFailure(NlbvpError):
-    """Inverse iteration hit its iteration cap without converging."""
+    """ARPACK's shift-invert Lanczos failed (no convergence or a bad pencil)."""
 
 
 class NonPositiveC(NlbvpError):

@@ -11,9 +11,11 @@ Documents are JSON with the fixed kernel/measure fields
     edges      [i, j, conductance] triples (graph)
     omega      interior node ids
 
-plus an optional problem block {kind, f, g, c, tol}.  Load data f/g/c may be
-per-node value lists, expression strings over the coordinates, or
-{"table": path} to reuse a previously written solution table.
+plus an optional problem block {kind, f, g, c} and the CG tolerance tol.  Load
+data f/g/c may be per-node value lists, expression strings over the
+coordinates, or {"table": path} to reuse a previously written solution table.
+Every number must be finite (h, delta and tol also positive); anything else
+is a DocumentError, raised before any solve.
 
 Expressions (the load data and gamma) follow one small grammar, checked on
 the parsed tree before anything is evaluated: numeric constants (taken as
@@ -275,21 +277,32 @@ def _parse_nodes(data, dimension):
     return np.array(points, dtype=float), np.array(masses)
 
 
+def positive_finite(value, name):
+    """`value` as a float; a DocumentError unless it is finite and positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DocumentError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _node_values(raw, points, count, name):
     if raw is None:
         return np.zeros(count)
     if isinstance(raw, str):
-        return evaluate_expression(raw, points)
-    if isinstance(raw, dict) and "table" in raw:
+        values = evaluate_expression(raw, points)
+    elif isinstance(raw, dict) and "table" in raw:
         values = gamma_values_from_table(raw["table"])
         if values.shape != (count,):
             raise DocumentError(
                 f"table for {name!r} holds {values.shape[0]} boundary values, expected {count}"
             )
-        return values
-    values = np.asarray(raw, dtype=float)
-    if values.shape != (count,):
-        raise DocumentError(f"{name!r} must provide {count} values, got {values.shape}")
+    else:
+        values = np.asarray(raw, dtype=float)
+        if values.shape != (count,):
+            raise DocumentError(f"{name!r} must provide {count} values, got {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DocumentError(f"{name!r} is not finite at index {bad[0]}: {values[bad[0]]}")
     return values
 
 
@@ -310,13 +323,13 @@ def load_document(source):
     try:
         if family == "stencil":
             dimension = int(_require(data, "dimension"))
-            h = float(_require(data, "h"))
+            h = positive_finite(_require(data, "h"), "h")
             points, masses = _parse_nodes(data, dimension)
             measure = AtomicMeasure(points, masses, lookup_tol=h * 1e-9)
             kernel = stencil_kernel(dimension, h, measure)
         elif family == "quadrature":
             dimension = int(_require(data, "dimension"))
-            delta = float(_require(data, "delta"))
+            delta = positive_finite(_require(data, "delta"), "delta")
             density = radial_density(_require(data, "gamma"))
             points, masses = _parse_nodes(data, dimension)
             measure = AtomicMeasure(points, masses)
@@ -354,5 +367,5 @@ def load_document(source):
         f=f,
         g=g,
         c=c,
-        tol=float(data.get("tol", 1e-12)),
+        tol=positive_finite(data.get("tol", 1e-12), "tol"),
     )

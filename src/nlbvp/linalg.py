@@ -2,9 +2,10 @@
 
 Two workhorses live here:
 
-* a conjugate-gradient loop for symmetric positive (semi-)definite systems,
-  with an optional per-iteration projection hook that keeps iterates inside
-  an invariant subspace (used to pin down the gauge of singular systems);
+* a conjugate-gradient loop for symmetric positive (semi-)definite systems;
+  a consistent singular system (load in the range) needs no projection
+  inside the loop, since from a start in the range every iterate stays
+  there up to rounding;
 * the package's one eigensolver, for the smallest eigenpairs of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization of the shifted pencil per call, handed to
@@ -23,7 +24,7 @@ import scipy.sparse.linalg as spla
 from .errors import EigensolverFailure, NoConvergence
 
 
-def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=None):
+def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
     """Solve matrix @ x = rhs by CG with relative-residual stopping rule.
 
     Parameters
@@ -36,10 +37,6 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
         Start vector, zeros by default.
     maxiter : int, optional
         Iteration cap, default max(1000, 10 n).
-    project : callable, optional
-        Applied to the iterate and the recurrence residual every iteration;
-        must be a linear projection commuting with the exact iteration
-        (kills rounding drift along a known nullspace).
 
     Returns
     -------
@@ -49,14 +46,10 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
     if maxiter is None:
         maxiter = max(1000, 10 * n)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if project is not None:
-        x = project(x)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros(n), 0.0, 0
     r = rhs - matrix @ x
-    if project is not None:
-        r = project(r)
     p = r.copy()
     rs = float(r @ r)
     for k in range(1, maxiter + 1):
@@ -79,17 +72,10 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
-        if project is not None:
-            x = project(x)
-            r = project(r)
         if k % 50 == 0:
             r = rhs - matrix @ x
-            if project is not None:
-                r = project(r)
         rs_new = float(r @ r)
         p = r + (rs_new / rs) * p
-        if project is not None:
-            p = project(p)
         rs = rs_new
     true_res = float(np.linalg.norm(rhs - matrix @ x))
     if true_res <= tol * rhs_norm:
@@ -100,7 +86,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, project=No
     )
 
 
-def smallest_eigenpairs(matrix, masses, count=1, deflate=None, maxiter=None):
+def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
     Works on the mass-scaled matrix B = D^{-1/2} A D^{-1/2}, restricted to the
@@ -152,7 +138,7 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, maxiter=None):
         try:
             values, vectors = spla.eigsh(
                 b, k=count, sigma=-shift, OPinv=inverse, v0=start,
-                ncv=min(free, max(2 * count + 1, 20)), maxiter=maxiter,
+                ncv=min(free, max(2 * count + 1, 20)),
             )
         except spla.ArpackError as exc:
             raise EigensolverFailure(

@@ -34,6 +34,7 @@ from .errors import (
 )
 
 DEFAULT_LOOKUP_TOL = 1e-12
+DENSITY_SYMMETRY_TOL = 1e-12  # relative to max(1, |gamma|) on each pair
 
 # Nodes whose kernel mass toward the interior is positive but below this
 # threshold still join the boundary, flagged as ill-conditioned trace data.
@@ -84,23 +85,38 @@ def _close_pairs(points, radius):
     return i[order], j[order]
 
 
+def _sample(func, *points):
+    """The k values of `func` at the rows of the (k, d) arrays `points`: one
+    call on their (d, k) coordinate stacks when `func.vectorized` is true (a
+    scalar result is broadcast), else one call per row."""
+    values = np.empty(points[0].shape[0])
+    if getattr(func, "vectorized", False):
+        values[...] = func(*(p.T for p in points))
+    else:
+        values[...] = [float(func(*row)) for row in zip(*points)]
+    return values
+
+
 class AtomicMeasure:
     """Finite node set in R^d with positive masses and coordinate lookup.
 
     Parameters
     ----------
     points : array_like, shape (n, d)
-        Node coordinates.  Must be pairwise distinct under `lookup_tol`.
+        Finite node coordinates.  Must be pairwise distinct under `lookup_tol`.
     masses : array_like, shape (n,), optional
-        Strictly positive node masses; defaults to 1 everywhere.
+        Strictly positive finite node masses; defaults to 1 everywhere.
     lookup_tol : float
-        Absolute coordinate tolerance for node identification.
+        Finite absolute coordinate tolerance for node identification.
     """
 
     def __init__(self, points, masses=None, lookup_tol=DEFAULT_LOOKUP_TOL):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, d) array")
+        nonfinite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if nonfinite.size:
+            raise ValueError(f"node {nonfinite[0]} has a non-finite coordinate")
         self.points = pts
         n = pts.shape[0]
         if masses is None:
@@ -109,9 +125,11 @@ class AtomicMeasure:
             self.masses = np.asarray(masses, dtype=float)
             if self.masses.shape != (n,):
                 raise ValueError("masses must have one entry per node")
-            if np.any(self.masses <= 0.0):
-                raise ValueError("all node masses must be strictly positive")
+            if not np.all((self.masses > 0.0) & (self.masses < np.inf)):
+                raise ValueError("all node masses must be strictly positive and finite")
         self.lookup_tol = float(lookup_tol)
+        if not np.isfinite(self.lookup_tol):
+            raise ValueError(f"lookup tolerance {self.lookup_tol} is not finite")
         i, j = _close_pairs(pts, self.lookup_tol)
         if i.size:
             raise ValueError(
@@ -126,10 +144,6 @@ class AtomicMeasure:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    @property
-    def total_mass(self):
-        return float(self.masses.sum())
 
     def locate(self, point, tol=None):
         """Return the node id within `tol` of `point`, or None."""
@@ -192,10 +206,6 @@ class TransitionKernel:
         """K(node, S) for a node set S given as ids."""
         cols, weights = self._row(node)
         return float(weights[np.isin(cols, list(targets))].sum())
-
-    def total(self, node):
-        """K(node, R^d): the full kernel mass of one node."""
-        return float(self._row(node)[1].sum())
 
 
 @dataclass(frozen=True)
@@ -293,8 +303,8 @@ def stencil_kernel(d, h, measure):
     is not commensurate with h.  Both scans run over the node pairs within
     1.5 h, which contain every node that close to a target.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     if measure.dim != d:
         raise ValueError(f"measure has dimension {measure.dim}, expected {d}")
     tol = h * 1e-9
@@ -346,7 +356,7 @@ def graph_kernel(edges, coordinates=None):
     conductances: dict[tuple[int, int], float] = {}
     for i, j, c in edges:
         i, j, c = int(i), int(j), float(c)
-        if c <= 0.0:
+        if not c > 0.0:
             raise NonPositiveConductance(f"edge ({i}, {j}) has conductance {c}")
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
@@ -376,7 +386,7 @@ def graph_kernel(edges, coordinates=None):
     return kernel, measure
 
 
-def quadrature_kernel(gamma, delta, measure, symmetry_tol=1e-12):
+def quadrature_kernel(gamma, delta, measure):
     """Kernel of a truncated density: weight gamma(x, y) * mass(y) within delta.
 
     The node masses act as quadrature weights, so continuum densities enter
@@ -392,27 +402,22 @@ def quadrature_kernel(gamma, delta, measure, symmetry_tol=1e-12):
     `gamma` is either a `(p, q) -> float` callable, probed pair by pair, or
     a vectorized density (marked by a true `gamma.vectorized` attribute, as
     `fileio.radial_density` returns) that takes coordinate-major stacks of
-    shape (d, k) and returns the k values; it is called once per orientation.
+    shape (d, k) and returns the k values; it is called once per orientation
+    (see `_sample`).
     """
-    if delta <= 0.0:
-        raise ValueError("interaction radius delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"interaction radius delta must be positive and finite, got {delta}")
     pts = measure.points
     i, j = _close_pairs(pts, delta + measure.lookup_tol)
     i, j = i[i < j], j[i < j]
-    if getattr(gamma, "vectorized", False):
-        g_ij = np.asarray(gamma(pts[i].T, pts[j].T), dtype=float)
-        g_ji = np.asarray(gamma(pts[j].T, pts[i].T), dtype=float)
-    else:
-        pairs = list(zip(i.tolist(), j.tolist()))
-        g_ij = np.array([float(gamma(pts[a], pts[b])) for a, b in pairs])
-        g_ji = np.array([float(gamma(pts[b], pts[a])) for a, b in pairs])
+    g_ij, g_ji = _sample(gamma, pts[i], pts[j]), _sample(gamma, pts[j], pts[i])
     nonfinite = np.flatnonzero(~(np.isfinite(g_ij) & np.isfinite(g_ji)))
     if nonfinite.size:
         k = nonfinite[0]
         raise ValueError(f"density is not finite on pair ({i[k]}, {j[k]}): {g_ij[k]}, {g_ji[k]}")
     negative = (g_ij < 0.0) | (g_ji < 0.0)
     scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
-    failing = np.flatnonzero(negative | (np.abs(g_ij - g_ji) > symmetry_tol * scale))
+    failing = np.flatnonzero(negative | (np.abs(g_ij - g_ji) > DENSITY_SYMMETRY_TOL * scale))
     if failing.size:
         k = failing[0]
         if negative[k]:

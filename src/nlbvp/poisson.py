@@ -24,6 +24,7 @@ from .assembly import assemble_form
 from .errors import BadStep, HypothesisViolated
 from .measure import (
     AtomicMeasure,
+    _sample,
     graph_kernel,
     nonlocal_boundary,
     stencil_kernel,
@@ -31,6 +32,7 @@ from .measure import (
 from .solvers import DirichletProblem, solve_dirichlet
 
 ZERO_ROWSUM_TOL = 1e-12
+SOLVE_TOL = 1e-13  # CG tolerance of the manufactured-solution solves
 
 
 @dataclass
@@ -59,14 +61,6 @@ class UnitCubeGrid:
     @property
     def l(self):
         return self.domain.l
-
-    @property
-    def omega_nodes(self):
-        return self.domain.omega
-
-    @property
-    def boundary_nodes(self):
-        return self.domain.gamma
 
 
 class StiffnessPair(NamedTuple):
@@ -149,18 +143,7 @@ def build_stiffness(grid):
     return StiffnessPair(a_dirichlet, a_neumann, block_omega, block_gamma)
 
 
-def _sample(func, points):
-    """Values of func at the rows of points (k, d): one call on the (d, k)
-    coordinate stack when func.vectorized is true (a scalar result is
-    broadcast), else one call per point."""
-    if getattr(func, "vectorized", False):
-        values = np.empty(points.shape[0])
-        values[...] = func(points.T)
-        return values
-    return np.array([func(p) for p in points], dtype=float)
-
-
-def manufactured_solve(grid, form, exact_u, exact_f, solve_tol=1e-13):
+def manufactured_solve(grid, form, exact_u, exact_f):
     """Dirichlet solve on a built grid and form against a manufactured solution.
 
     exact_u must vanish on the cube boundary (checked on the boundary
@@ -176,12 +159,12 @@ def manufactured_solve(grid, form, exact_u, exact_f, solve_tol=1e-13):
     if np.any(np.abs(trace) > 1e-12):
         raise ValueError("exact_u must vanish on the cube boundary")
     f = _sample(exact_f, pts_omega)
-    solution = solve_dirichlet(DirichletProblem(form, f, np.zeros(grid.l)), tol=solve_tol)
+    solution = solve_dirichlet(DirichletProblem(form, f, np.zeros(grid.l)), tol=SOLVE_TOL)
     reference = _sample(exact_u, pts_omega)
     return float(np.max(np.abs(solution.u[: grid.m] - reference))), solution
 
 
-def convergence_study(d, exact_u, exact_f, h_list, solve_tol=1e-13):
+def convergence_study(d, exact_u, exact_f, h_list):
     """Dirichlet solves against a manufactured solution over decreasing steps.
 
     Each step builds its grid and form and runs `manufactured_solve`, so
@@ -197,7 +180,7 @@ def convergence_study(d, exact_u, exact_f, h_list, solve_tol=1e-13):
     for h in h_list:
         grid = unit_cube_grid(d, h)
         form = assemble_form(grid.kernel, grid.measure, grid.domain)
-        error, _ = manufactured_solve(grid, form, exact_u, exact_f, solve_tol)
+        error, _ = manufactured_solve(grid, form, exact_u, exact_f)
         order = math.log2(prev_error / error) if prev_error is not None and error > 0 else float("nan")
         rows.append(StudyRow(h=h, max_error=error, order=order))
         prev_error = error

@@ -4,9 +4,11 @@ Dirichlet: the boundary trace is imposed exactly by zero-extending the data
 into the interior, moving its energy pairing to the right-hand side, and
 solving the positive-definite interior block by conjugate gradients.
 
-Neumann: the full singular system is solved by conjugate gradients with the
-load projected onto the range and every iterate projected against the
-nullspace; the returned representative is mass-orthogonal to the nullspace.
+Neumann: the load is projected once onto the range of the full singular
+system, which conjugate gradients then solve from zero with no projection in
+the loop (CG on a consistent semidefinite system stays in the range), and
+the result is shifted once along the nullspace onto the representative that
+is mass-orthogonal to it.
 
 Each solve first checks well-posedness on the kept-coupling components of
 the form's graph (`analysis.nullspace`'s rule and tolerance), with no
@@ -57,7 +59,6 @@ class NeumannProblem:
     form: object
     f: np.ndarray  # interior load, length m
     g: np.ndarray  # boundary flux data, length l
-    compat_tol: float | None = None  # default: COMPAT_TOL_FACTOR * load scale
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)
@@ -65,8 +66,6 @@ class NeumannProblem:
         domain = self.form.domain
         if self.f.shape != (domain.m,) or self.g.shape != (domain.l,):
             raise ValueError("f and g lengths must match the interior/boundary blocks")
-        if self.compat_tol is not None and self.compat_tol <= 0.0:
-            raise ValueError("compat_tol must be positive")
 
 
 @dataclass
@@ -79,8 +78,6 @@ class Solution:
 
 
 def _compat_tol(problem):
-    if problem.compat_tol is not None:
-        return problem.compat_tol
     form = problem.form
     scale = float(np.abs(problem.f) @ form.mass_omega) + float(
         np.abs(problem.g) @ form.mass_diag[form.domain.m:]
@@ -152,20 +149,12 @@ def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
     masses = form.mass_diag
     b = masses * np.concatenate([problem.f, problem.g])
     w = basis.vectors
-    if basis.dimension:
-        q_euclid, _ = np.linalg.qr(w)
-
-        def onto_range(v):
-            return v - q_euclid @ (q_euclid.T @ v)
-
-        b = onto_range(b)
-    else:
-        onto_range = None
-    x, residual, iterations = linalg.conjugate_gradient(
-        form.matrix, b, tol=tol, project=onto_range
-    )
-    if basis.dimension:
-        x = x - w @ (w.T @ (masses * x))  # mass-orthogonal representative
+    q, _ = np.linalg.qr(w)  # Euclidean basis of the kernel; (n, 0) when empty
+    rhs = b - q @ (q.T @ b)
+    if np.linalg.norm(rhs) <= b.size * np.finfo(float).eps * np.linalg.norm(b):
+        rhs[:] = 0.0  # the load lies in the kernel up to the rounding of its projection
+    x, residual, iterations = linalg.conjugate_gradient(form.matrix, rhs, tol=tol)
+    x = x - w @ (w.T @ (masses * x))  # mass-orthogonal representative
     return Solution(u=x, residual=residual, iterations=iterations, projected=True, kind="neumann")
 
 

@@ -72,6 +72,58 @@ def test_load_document_rejects_garbage(tmp_path):
         load_document(write_doc(tmp_path, "doc.json", bad))
 
 
+def nonfinite_cases():
+    nan = float("nan")
+    dirichlet = {"kind": "dirichlet", "f": "1", "g": "0"}
+    neumann = {"kind": "neumann", "f": "x - 0.5", "g": "0"}
+    regularized = {"kind": "regularized", "f": "1", "g": "0", "c": [1.0, 1.0, 1.0]}
+    quadrature = {
+        "family": "quadrature", "dimension": 1, "delta": 0.3, "gamma": "1",
+        "nodes": [[0.0], [0.25], [0.5], [0.75], [1.0]], "omega": [1, 2, 3],
+        "problem": neumann,
+    }
+    cases = {
+        "f overflows": interval_doc({**dirichlet, "f": "1e400"}),
+        "g overflows": interval_doc({**dirichlet, "g": "-1e400"}),
+        "f NaN": interval_doc({**dirichlet, "f": [1.0, nan, 1.0]}),
+        "g infinite": interval_doc({**neumann, "g": [0.0, float("inf")]}),
+        "c NaN": interval_doc({**regularized, "c": [1.0, nan, 1.0]}),
+        "mass NaN": {
+            **interval_doc(neumann), "nodes": [[0.0], [0.25, nan], [0.5], [0.75], [1.0]],
+        },
+        "coordinate NaN": {
+            **interval_doc(dirichlet), "nodes": [[0.0], [nan], [0.5], [0.75], [1.0]],
+        },
+        "tol NaN": {**interval_doc(dirichlet), "tol": nan},
+        "tol negative": {**interval_doc(dirichlet), "tol": -1.0},
+        "h NaN": {**interval_doc(dirichlet), "h": nan},
+        "h infinite": {**interval_doc(dirichlet), "h": float("inf")},
+        "delta NaN": {**quadrature, "delta": nan},
+        "conductance NaN": {
+            "family": "graph", "edges": [[0, 1, 1.0], [1, 2, nan], [2, 3, 1.0]],
+            "omega": [1, 2], "problem": dirichlet,
+        },
+    }
+    return [pytest.param(doc, [], id=name) for name, doc in cases.items()] + [
+        pytest.param(interval_doc(dirichlet), ["--tol", value], id=f"--tol {value}")
+        for value in ("nan", "-1", "inf")
+    ]
+
+
+@pytest.mark.parametrize("data, extra", nonfinite_cases())
+def test_nonfinite_document_numbers_exit_1_before_any_solve(
+    tmp_path, capsys, monkeypatch, data, extra
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a bad document")
+
+    monkeypatch.setattr(nlbvp.linalg, "conjugate_gradient", no_solve)
+    path = write_doc(tmp_path, "doc.json", data)
+    assert cli.main(["solve", path, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- solve ------------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -298,6 +299,81 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
     left = np.any(c > 0.0) and dense_smallest(augmented, form.mass_diag) <= gap_tol
     problem = NeumannProblem(form, *zero)
     assert raises(SingularAfterRegularization, lambda: solve_regularized(problem, c)) == left
+
+
+# -- solutions against dense oracles ----------------------------------------------
+
+
+@st.composite
+def loaded_graphs(draw):
+    """A `gated_graphs` graph with a load in [-1, 1] at every node."""
+    weights, masses, omega, _, _ = draw(gated_graphs())
+    load = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(masses), max_size=len(masses)))
+    return weights, masses, omega, np.array(load)
+
+
+def graph_form(weights, masses, omega):
+    """The assembled form of the kernel W[i, j] / masses[i] on nodes 0..n-1."""
+    n = len(masses)
+    measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
+    kernel = TransitionKernel(sp.csr_matrix(weights / masses[:, None]), "quadrature")
+    return assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
+
+
+def condition_number(matrix):
+    """Ratio of the largest to the smallest eigenvalue of a dense symmetric
+    positive definite matrix."""
+    values = scipy.linalg.eigvalsh(matrix)
+    return values[-1] / values[0]
+
+
+TOL = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded_graphs())
+def test_neumann_matches_dense_least_squares(graph):
+    weights, masses, omega, load = graph
+    form = graph_form(weights, masses, omega)
+    m, n = form.domain.m, form.n
+    a, mass = form.matrix.toarray(), form.mass_diag
+    basis = nullspace(form)
+    w = basis.vectors
+    load = load[:n] - w @ (w.T @ (mass * load[:n]))  # compatible: pairs with no kernel vector
+    reference = np.linalg.lstsq(a, mass * load, rcond=None)[0]
+    reference -= w @ (w.T @ (mass * reference))
+    u = solve_neumann(NeumannProblem(form, load[:m], load[m:]), basis, tol=TOL).u
+    spectrum = scipy.linalg.eigvalsh(a)[basis.dimension :]  # on the range; empty for a zero form
+    bound = 0.0
+    if spectrum.size:
+        # ||b|| / ||A|| <= ||x|| sets the scale where the reference is rounding
+        # noise: a load that lies in the kernel up to rounding
+        scale = max(np.linalg.norm(reference), np.linalg.norm(mass * load) / spectrum[-1])
+        bound = 10.0 * spectrum[-1] / spectrum[0] * TOL * scale
+    assert np.linalg.norm(u - reference) <= bound
+    shifted = load + w[:, -1]  # defect 1 against a mass-orthonormal kernel vector
+    with pytest.raises(IncompatibleData):
+        solve_neumann(NeumannProblem(form, shifted[:m], shifted[m:]), basis, tol=TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded_graphs())
+def test_dirichlet_matches_dense_solve(graph):
+    weights, masses, omega, load = graph
+    form = graph_form(weights, masses, omega)
+    m, n = form.domain.m, form.n
+    a = form.matrix.toarray()
+    f, g = load[:m], load[m:n]
+    problem = DirichletProblem(form, f, g)
+    if np.linalg.matrix_rank(a[:m, :m]) < m:
+        with pytest.raises(FriedrichsViolated):
+            solve_dirichlet(problem, tol=TOL)
+        return
+    reference = np.linalg.solve(a[:m, :m], form.mass_omega * f - a[:m, m:] @ g)
+    u = solve_dirichlet(problem, tol=TOL).u
+    bound = 10.0 * condition_number(a[:m, :m]) * TOL * np.linalg.norm(reference)
+    assert np.linalg.norm(u[:m] - reference) <= bound
+    assert np.array_equal(u[m:], g)
 
 
 # -- strong residuals --------------------------------------------------------------
