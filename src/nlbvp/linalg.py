@@ -10,6 +10,10 @@ Two workhorses live here:
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization of the shifted pencil per call, handed to
   ARPACK's shift-invert Lanczos, with deflation against a given subspace.
+  The Lanczos basis holds 2 count + 4 vectors and stops once every Ritz
+  residual is at most EIGEN_TOL relative to its Ritz value: for a symmetric
+  pencil the Ritz value's error is bounded by residual^2 / gap (Kato-Temple),
+  so the eigenvalues come out to rounding well before the vectors do.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
 """
@@ -23,6 +27,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolverFailure, NoConvergence
 
+# CG recomputes its true residual every REFRESH iterations and gives up when
+# STALL_REFRESHES refreshes in a row bring no decrease
+REFRESH = 50
+STALL_REFRESHES = 4
+# relative Ritz residual at which shift-invert Lanczos stops
+EIGEN_TOL = 1e-10
+
 
 def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
     """Solve matrix @ x = rhs by CG with relative-residual stopping rule.
@@ -32,15 +43,23 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
     matrix : sparse matrix, symmetric positive (semi-)definite
     rhs : ndarray
     tol : float
-        Accept when ||rhs - matrix x|| <= tol * ||rhs|| (true residual).
+        Accept when ||rhs - matrix x|| <= tol * ||rhs|| (true residual).  When
+        rounding keeps the true residual above that while the recurrence
+        residual has reached it (the attainable-accuracy gap of fine grids),
+        accept instead when the normwise backward error is at most tol:
+        ||rhs - matrix x||_inf <= tol (||matrix||_inf ||x||_inf + ||rhs||_inf).
     x0 : ndarray, optional
         Start vector, zeros by default.
     maxiter : int, optional
-        Iteration cap, default max(1000, 10 n).
+        Iteration cap, default max(1000, 10 n).  The loop also stops when
+        the true residual, recomputed every REFRESH iterations, has not
+        decreased over STALL_REFRESHES refreshes in a row.
 
     Returns
     -------
     (x, relative_residual, iterations)
+        relative_residual is ||rhs - matrix x|| / ||rhs||, which exceeds tol
+        when the iterate was accepted by its backward error.
     """
     n = rhs.shape[0]
     if maxiter is None:
@@ -49,21 +68,36 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros(n), 0.0, 0
+    matrix_norm = None
+
+    def accepted(x):
+        """The true residual of x and whether x meets either stopping rule."""
+        nonlocal matrix_norm
+        residual = rhs - matrix @ x
+        true_res = float(np.linalg.norm(residual))
+        if true_res <= tol * rhs_norm:
+            return true_res, True
+        if matrix_norm is None:
+            matrix_norm = float(abs(matrix).sum(axis=1).max())
+        floor = tol * (matrix_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+        return true_res, bool(np.max(np.abs(residual)) <= floor)
+
     r = rhs - matrix @ x
     p = r.copy()
     rs = float(r @ r)
+    best, stalls = np.inf, 0
     for k in range(1, maxiter + 1):
         if np.sqrt(rs) <= tol * rhs_norm:
-            true_res = float(np.linalg.norm(rhs - matrix @ x))
-            if true_res <= tol * rhs_norm:
+            true_res, done = accepted(x)
+            if done:
                 return x, true_res / rhs_norm, k - 1
         ap = matrix @ p
         pap = float(p @ ap)
         if pap <= 0.0:
             # either a genuinely indefinite system or rounding at the
             # attainable floor; accept the iterate when it already qualifies
-            true_res = float(np.linalg.norm(rhs - matrix @ x))
-            if true_res <= tol * rhs_norm:
+            true_res, done = accepted(x)
+            if done:
                 return x, true_res / rhs_norm, k - 1
             raise NoConvergence(
                 f"CG breakdown at iteration {k} on a size-{n} system: matrix is not "
@@ -72,13 +106,24 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
-        if k % 50 == 0:
+        if k % REFRESH == 0:
             r = rhs - matrix @ x
+            true_res = float(np.linalg.norm(r))
+            if true_res < best:
+                best, stalls = true_res, 0
+            else:
+                stalls += 1
+            if stalls == STALL_REFRESHES:
+                raise NoConvergence(
+                    f"CG stagnated at iteration {k} on a size-{n} system: relative "
+                    f"residual {best / rhs_norm:.3e} (tol {tol}) did not decrease over "
+                    f"{STALL_REFRESHES * REFRESH} iterations"
+                )
         rs_new = float(r @ r)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    true_res = float(np.linalg.norm(rhs - matrix @ x))
-    if true_res <= tol * rhs_norm:
+    true_res, done = accepted(x)
+    if done:
         return x, true_res / rhs_norm, maxiter
     raise NoConvergence(
         f"CG did not reach relative residual {tol} in {maxiter} iterations on a "
@@ -94,9 +139,15 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     invariant subspace, such as a nullspace).  The shifted matrix B + s I,
     with s a small positive multiple of ||B||, is factored once by `splu`, and
     ARPACK's shift-invert Lanczos (`eigsh`, sigma = -s) runs on that
-    factorization from a fixed start vector.  ARPACK needs `count` below the
-    dimension of the searched space minus one; otherwise a dense `eigh` of
-    the compressed matrix answers.
+    factorization from a fixed start vector.  Its Krylov basis holds
+    min(free, 2 count + 4) vectors (6 for one pair; free is the dimension
+    of the searched space) and it stops when each Ritz residual is at most
+    EIGEN_TOL times its Ritz value.  The Ritz value's relative error is then
+    at most about EIGEN_TOL^2 over the relative gap to the next eigenvalue
+    (Kato-Temple), below rounding unless that gap is under 1e-4, so the
+    eigenvalues are those of a machine-precision run with fewer solves.
+    ARPACK needs `count` below the dimension of the searched space minus
+    one; otherwise a dense `eigh` of the compressed matrix answers.
 
     Returns
     -------
@@ -138,7 +189,7 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
         try:
             values, vectors = spla.eigsh(
                 b, k=count, sigma=-shift, OPinv=inverse, v0=start,
-                ncv=min(free, max(2 * count + 1, 20)),
+                ncv=min(free, 2 * count + 4), tol=EIGEN_TOL,
             )
         except spla.ArpackError as exc:
             raise EigensolverFailure(

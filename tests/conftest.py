@@ -1,13 +1,20 @@
-"""Shared grid builders for the test suite."""
+"""Shared grid builders and form generators for the test suite."""
+
+import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from nlbvp import (
     AtomicMeasure,
     assemble_form,
     nonlocal_boundary,
+    nullspace,
+    quadrature_kernel,
     stencil_kernel,
     unit_cube_grid,
 )
@@ -72,6 +79,64 @@ def dense_omega_constant(form):
     b = basis_s.T @ matrix @ basis_s
     quotients = scipy.linalg.eigh(a, b, eigvals_only=True)
     return float(quotients[-1])
+
+
+@st.composite
+def point_clouds(draw, max_nodes=30):
+    """Up to max_nodes nodes in [0, 1]^d with masses, a radius delta, a
+    symmetric density (zero on part of the pairs), an interior set and a
+    seed."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, max_nodes))
+    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
+    masses = draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    delta = draw(st.floats(0.05, 1.0))
+    bend = draw(st.floats(-2.0, 2.0))
+    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points = np.array(coords).reshape(n, d)
+
+    def density(p, q):
+        return max(0.0, 1.0 + bend * float(np.sum(p + q)) - float(np.sum((p - q) ** 2)))
+
+    return points, np.array(masses), delta, density, omega, seed
+
+
+def couplings_separated(form):
+    """Whether every coupling of the form is 0 or at least 1e3 times the
+    nullspace tolerance, so that no dense oracle's threshold sits near one."""
+    off_diagonal = np.abs((form.matrix - sp.diags(form.matrix.diagonal())).data)
+    return bool(np.all((off_diagonal == 0.0) | (off_diagonal >= 1e3 * nullspace(form).tolerance)))
+
+
+@st.composite
+def quadrature_forms(draw):
+    """The form of a `point_clouds` quadrature kernel on at most 12 distinct
+    nodes, its couplings separated from the nullspace tolerance."""
+    points, masses, delta, density, omega, _ = draw(point_clouds(max_nodes=12))
+    gaps = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    assume(gaps[~np.eye(len(points), dtype=bool)].min() > 1e-9)
+    measure = AtomicMeasure(points, masses)
+    kernel = quadrature_kernel(density, delta, measure)
+    form = assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
+    assume(couplings_separated(form))
+    return form
+
+
+@st.composite
+def stencil_forms(draw):
+    """The form of the step-1/k stencil kernel on a random subset of the
+    lattice nodes of [0, 1]^d (d = 1 or 2), with equal masses, so that some
+    nodes lose neighbours and the coupling graph may fall apart."""
+    d = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 10 if d == 1 else 3))
+    lattice = np.array(list(itertools.product(np.arange(k + 1) / k, repeat=d)))
+    keep = sorted(draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, unique=True)))
+    mass = draw(st.floats(0.5, 2.0))
+    measure = AtomicMeasure(lattice[keep], np.full(len(keep), mass))
+    kernel = stencil_kernel(d, 1.0 / k, measure)
+    omega = draw(st.lists(st.integers(0, len(keep) - 1), min_size=1, unique=True))
+    return assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
 
 
 @pytest.fixture

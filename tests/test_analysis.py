@@ -1,8 +1,11 @@
 """Nullspace extraction, inequality constants, trace weights, principle checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -23,6 +26,7 @@ from nlbvp import (
     project_out_kernel,
     strong_poincare_check,
     trace_weight,
+    unit_cube_grid,
 )
 from nlbvp.analysis import NullspaceBasis
 from nlbvp.errors import EmptyGamma, NonPositiveC
@@ -32,7 +36,9 @@ from conftest import (
     disconnected_setup,
     interleaved_setup,
     interval_setup,
+    quadrature_forms,
     square_setup,
+    stencil_forms,
     three_node_setup,
 )
 
@@ -228,6 +234,66 @@ def test_poincare_omega_matches_dense_oracle():
         assert report.constant == pytest.approx(dense_omega_constant(form), rel=1e-8)
 
 
+# -- the eigensolver on the paper's lattices -----------------------------------------
+
+
+def lattice_pencils(d, h):
+    """The unit-cube lattice form of step h with its three constants:
+    Friedrichs, Poincare (full mass norm) and Poincare-omega (Kron pencil)."""
+    grid = unit_cube_grid(d, h)
+    form = assemble_form(grid.kernel, grid.measure, grid.domain)
+    basis = nullspace(form)
+    return form, basis, {
+        "friedrichs": lambda: friedrichs_constant(form),
+        "full": lambda: poincare_constant(form, basis, variant="full"),
+        "omega": lambda: poincare_constant(form, basis, variant="omega"),
+    }
+
+
+def test_eigensolves_take_few_factor_solves(monkeypatch):
+    """Each one-pair Lanczos run stops once its Ritz value has converged:
+    at most 16 solves with the pencil's LU factor on the d=3, h=1/8 lattice."""
+    factor_solves = []
+    real_splu = scipy.sparse.linalg.splu
+
+    def counting_splu(*args, **kwargs):
+        factor = real_splu(*args, **kwargs)
+
+        def solve(rhs):
+            factor_solves[-1] += 1
+            return factor.solve(rhs)
+
+        factor_solves.append(0)
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    _, _, constants = lattice_pencils(3, 1.0 / 8.0)
+    for name, constant in constants.items():
+        constant()
+        assert len(factor_solves) == 1 and factor_solves.pop() <= 16, name
+
+
+@pytest.mark.parametrize("d, h", [(2, 1.0 / 32.0), (3, 1.0 / 8.0)])
+def test_lattice_constants_match_dense_eigh(d, h):
+    form, basis, constants = lattice_pencils(d, h)
+    omega_values = scipy.linalg.eigh(form.omega_block.toarray(), np.diag(form.mass_omega))[0]
+    full_values = scipy.linalg.eigh(form.matrix.toarray(), np.diag(form.mass_diag))[0]
+    expected = {
+        "friedrichs": 1.0 / omega_values[0],
+        "full": 1.0 / full_values[basis.dimension],
+        "omega": dense_omega_constant(form),
+    }
+    for name, constant in constants.items():
+        assert constant().constant == pytest.approx(expected[name], rel=1e-12), name
+
+
+def test_friedrichs_closed_form_unit_cube():
+    d, h = 3, 1.0 / 16.0
+    _, _, constants = lattice_pencils(d, h)
+    expected = 1.0 / (d * (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2)
+    assert constants["friedrichs"]().constant == pytest.approx(expected, rel=1e-12)
+
+
 def test_poincare_omega_degenerate_single_interior():
     _, _, _, form = three_node_setup()
     basis = nullspace(form)
@@ -273,9 +339,8 @@ def dense_gap_constant(matrix, masses, skip, tol):
     return np.inf if vals[skip] <= tol else 1.0 / vals[skip]
 
 
-@settings(max_examples=100, deadline=None)
-@given(weighted_graphs())
-def test_spectral_layer_matches_dense_on_random_graphs(graph):
+def weighted_graph_form(graph):
+    """The assembled form of a `weighted_graphs` graph."""
     weights, masses, omega = graph
     n = len(masses)
     measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
@@ -284,7 +349,12 @@ def test_spectral_layer_matches_dense_on_random_graphs(graph):
         for i in range(n)
     ]
     domain = nonlocal_boundary(TransitionKernel(support, "quadrature"), omega, measure)
-    form = assemble_form(TransitionKernel(support, "quadrature"), measure, domain)
+    return assemble_form(TransitionKernel(support, "quadrature"), measure, domain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(weighted_graphs().map(weighted_graph_form), quadrature_forms(), stencil_forms()))
+def test_spectral_layer_matches_dense_on_random_graphs(form):
     # the dense oracles scale their thresholds by the matrix: a zero form has none
     assume(form.matrix.diagonal().max() > 0.0)
     basis = nullspace(form)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nlbvp import (
@@ -30,7 +29,7 @@ from nlbvp.errors import (
     NodeNotInOmega,
 )
 
-from conftest import interval_setup, square_setup, three_node_setup
+from conftest import interval_setup, point_clouds, square_setup, three_node_setup
 
 
 def brute_force_bilinear(kernel, measure, domain, u, v):
@@ -215,26 +214,6 @@ def test_norm_sandwich(rng):
 
 
 # -- kernel layer against brute-force pair loops ------------------------------------
-
-
-@st.composite
-def point_clouds(draw):
-    """Up to 30 nodes in [0, 1]^d with masses, a radius delta, a symmetric
-    density (zero on part of the pairs), an interior set and a seed."""
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(2, 30))
-    coords = draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d))
-    masses = draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
-    delta = draw(st.floats(0.05, 1.0))
-    bend = draw(st.floats(-2.0, 2.0))
-    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-    seed = draw(st.integers(0, 2**32 - 1))
-    points = np.array(coords).reshape(n, d)
-
-    def density(p, q):
-        return max(0.0, 1.0 + bend * float(np.sum(p + q)) - float(np.sum((p - q) ** 2)))
-
-    return points, np.array(masses), delta, density, omega, seed
 
 
 @settings(max_examples=100, deadline=None)

@@ -331,6 +331,17 @@ def test_bench_second_order(tmp_path, capsys):
     assert all(1.8 <= o <= 2.2 for o in orders)
 
 
+def test_bench_fine_square_meets_its_tolerance(capsys):
+    """At h = 1/128 rounding keeps CG's true residual above the bench's
+    1e-13; the iterate is accepted by its backward error instead of running
+    to the iteration cap."""
+    start = time.perf_counter()
+    assert cli.main(["bench", "--d", "2", "--h", "1/64,1/128"]) == 0
+    assert time.perf_counter() - start < 10.0
+    order = float(capsys.readouterr().out.strip().splitlines()[-1].split("\t")[4])
+    assert 1.9 <= order <= 2.1
+
+
 def test_bench_invalid_step(tmp_path, capsys):
     assert cli.main(["bench", "--d", "2", "--h", "0.3"]) == 1
     assert cli.main(["bench", "--d", "2", "--h", "nope"]) == 1

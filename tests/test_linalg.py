@@ -1,5 +1,7 @@
 """Deterministic CG and inverse-iteration building blocks."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -39,6 +41,18 @@ def test_cg_iteration_cap(rng):
         conjugate_gradient(a, b, tol=1e-13, maxiter=3)
     with pytest.raises(NoConvergence, match=r"breakdown at iteration 1 on a size-30 system"):
         conjugate_gradient(-a, b, maxiter=3)
+
+
+def test_cg_stops_when_the_residual_stagnates(rng):
+    """Below the attainable accuracy the true residual stops falling; the
+    loop gives up after four refreshes without a decrease instead of
+    running to the iteration cap of 1,000."""
+    a = random_spd(30, rng)
+    b = rng.standard_normal(30)
+    with pytest.raises(NoConvergence, match=r"stagnated at iteration (\d+) on a size-30") as info:
+        conjugate_gradient(a, b, tol=1e-18)
+    assert int(re.search(r"iteration (\d+)", str(info.value)).group(1)) < 300
+    assert "tol 1e-18" in str(info.value)
 
 
 def test_cg_is_deterministic(rng):

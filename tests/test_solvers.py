@@ -35,7 +35,9 @@ from nlbvp.analysis import NullspaceBasis, max_principle_check
 from conftest import (
     disconnected_setup,
     interval_setup,
+    quadrature_forms,
     square_setup,
+    stencil_forms,
     three_node_setup,
 )
 
@@ -304,20 +306,23 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
 # -- solutions against dense oracles ----------------------------------------------
 
 
-@st.composite
-def loaded_graphs(draw):
-    """A `gated_graphs` graph with a load in [-1, 1] at every node."""
-    weights, masses, omega, _, _ = draw(gated_graphs())
-    load = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(masses), max_size=len(masses)))
-    return weights, masses, omega, np.array(load)
-
-
 def graph_form(weights, masses, omega):
     """The assembled form of the kernel W[i, j] / masses[i] on nodes 0..n-1."""
     n = len(masses)
     measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
     kernel = TransitionKernel(sp.csr_matrix(weights / masses[:, None]), "quadrature")
     return assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
+
+
+@st.composite
+def loaded_forms(draw):
+    """The form of a `gated_graphs` graph, of a small quadrature kernel on a
+    random point set or of a stencil kernel on a random sub-lattice, with a
+    load in [-1, 1] at every node of the form."""
+    graph_forms = gated_graphs().map(lambda graph: graph_form(*graph[:3]))
+    form = draw(st.one_of(graph_forms, quadrature_forms(), stencil_forms()))
+    load = draw(st.lists(st.floats(-1.0, 1.0), min_size=form.n, max_size=form.n))
+    return form, np.array(load)
 
 
 def condition_number(matrix):
@@ -331,15 +336,14 @@ TOL = 1e-12
 
 
 @settings(max_examples=300, deadline=None)
-@given(loaded_graphs())
-def test_neumann_matches_dense_least_squares(graph):
-    weights, masses, omega, load = graph
-    form = graph_form(weights, masses, omega)
-    m, n = form.domain.m, form.n
+@given(loaded_forms())
+def test_neumann_matches_dense_least_squares(loaded):
+    form, load = loaded
+    m = form.domain.m
     a, mass = form.matrix.toarray(), form.mass_diag
     basis = nullspace(form)
     w = basis.vectors
-    load = load[:n] - w @ (w.T @ (mass * load[:n]))  # compatible: pairs with no kernel vector
+    load = load - w @ (w.T @ (mass * load))  # compatible: pairs with no kernel vector
     reference = np.linalg.lstsq(a, mass * load, rcond=None)[0]
     reference -= w @ (w.T @ (mass * reference))
     u = solve_neumann(NeumannProblem(form, load[:m], load[m:]), basis, tol=TOL).u
@@ -357,13 +361,12 @@ def test_neumann_matches_dense_least_squares(graph):
 
 
 @settings(max_examples=300, deadline=None)
-@given(loaded_graphs())
-def test_dirichlet_matches_dense_solve(graph):
-    weights, masses, omega, load = graph
-    form = graph_form(weights, masses, omega)
-    m, n = form.domain.m, form.n
+@given(loaded_forms())
+def test_dirichlet_matches_dense_solve(loaded):
+    form, load = loaded
+    m = form.domain.m
     a = form.matrix.toarray()
-    f, g = load[:m], load[m:n]
+    f, g = load[:m], load[m:]
     problem = DirichletProblem(form, f, g)
     if np.linalg.matrix_rank(a[:m, :m]) < m:
         with pytest.raises(FriedrichsViolated):
