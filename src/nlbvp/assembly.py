@@ -46,6 +46,7 @@ class AssembledForm:
     gamma_block  : m x l interior-boundary coupling block
     mass_diag    : node masses over the canonical ordering
     mass_omega   : node masses restricted to the interior block
+    symmetry_defect : the kernel's symmetry defect, checked at assembly
     """
 
     matrix: sp.csr_matrix
@@ -55,6 +56,7 @@ class AssembledForm:
     mass_omega: np.ndarray
     domain: object
     measure: object
+    symmetry_defect: float
 
     @property
     def n(self):
@@ -88,6 +90,7 @@ def assemble_form(kernel, measure, domain):
         mass_omega=masses[:m],
         domain=domain,
         measure=measure,
+        symmetry_defect=defect,
     )
 
 

@@ -28,7 +28,6 @@ from .errors import (
     PoincareViolated,
     SingularAfterRegularization,
 )
-from .measure import symmetry_defect
 from .solvers import (
     DirichletProblem,
     NeumannProblem,
@@ -93,7 +92,6 @@ def cmd_solve(args):
 
 def cmd_diagnose(args):
     doc = fileio.load_document(args.document)
-    defect = symmetry_defect(doc.kernel, doc.measure)
     form = assemble_form(doc.kernel, doc.measure, doc.domain)
     basis = analysis.nullspace(form)
     friedrichs = analysis.friedrichs_constant(form)
@@ -107,7 +105,7 @@ def cmd_diagnose(args):
             solution = solve_dirichlet(DirichletProblem(form, doc.f, doc.g), tol=doc.tol)
             principle = analysis.max_principle_check(solution.u, form, doc.domain)
     record = {
-        "symmetry_defect": defect,
+        "symmetry_defect": form.symmetry_defect,
         "gamma_size": doc.domain.l,
         "nullspace_dim": basis.dimension,
         "friedrichs_constant": friedrichs.constant,

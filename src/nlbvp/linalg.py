@@ -13,7 +13,9 @@ Two workhorses live here:
   The Lanczos basis holds 2 count + 4 vectors and stops once every Ritz
   residual is at most EIGEN_TOL relative to its Ritz value: for a symmetric
   pencil the Ritz value's error is bounded by residual^2 / gap (Kato-Temple),
-  so the eigenvalues come out to rounding well before the vectors do.
+  so the eigenvalues come out to rounding well before the vectors do.  Each
+  eigenvalue returned is its vector's Rayleigh quotient, which carries none
+  of the error of the back-transform 1 / theta - s.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
 """
@@ -147,7 +149,9 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     (Kato-Temple), below rounding unless that gap is under 1e-4, so the
     eigenvalues are those of a machine-precision run with fewer solves.
     ARPACK needs `count` below the dimension of the searched space minus
-    one; otherwise a dense `eigh` of the compressed matrix answers.
+    one; otherwise a dense `eigh` of the compressed matrix answers.  Either
+    way each eigenvalue is returned as the Rayleigh quotient
+    v^T A v / v^T D v of its vector, one sparse product for all of them.
 
     Returns
     -------
@@ -195,6 +199,9 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
             raise EigensolverFailure(
                 f"shift-invert Lanczos failed on {count} eigenpairs of a size-{n} pencil: {exc}"
             ) from exc
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
-    return values, vectors * scale[:, None]
+        vectors = vectors[:, np.argsort(values)]
+    vectors = vectors * scale[:, None]
+    # each vector's Rayleigh quotient, free of the back-transform's error
+    energy = np.sum(vectors * (matrix @ vectors), axis=0)
+    values = energy / np.sum(vectors**2 * masses[:, None], axis=0)
+    return values, vectors

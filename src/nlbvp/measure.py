@@ -8,9 +8,14 @@ its transpose, so the symmetry check, the boundary split and everything built
 on them downstream are sparse-matrix expressions over K or W.
 
 Nodes are paired by one linked-cell search (`_close_pairs`): nodes are binned
-into cells of the search radius and compared only with the nodes of adjacent
-cells.  It serves the coincidence scan of the measure, stencil target
-resolution and quadrature neighborhoods.
+into cells of the search radius, and the occupied cells look up their
+neighbour cells once per cell offset.  A step between adjacent cells along an
+axis is taken only when the two cells' coordinate extents on that axis come
+within the radius, so a tiny radius compares each node with its own cell
+alone.  Distances are summed axis by axis, exactly as `np.linalg.norm` sums
+them, so the pairs found do not depend on how they were searched.  The search
+serves the coincidence scan of the measure, stencil target resolution and
+quadrature neighborhoods.
 
 The node x itself never appears in its own support: the difference
 u(x) - u(y) vanishes on the diagonal, so diagonal atoms would contribute
@@ -46,43 +51,79 @@ class KernelEntry(NamedTuple):
     weight: float
 
 
+def _axis_cells(coord, side, radius):
+    """Cells of width `side` along one axis.
+
+    Returns each node's cell rank among the occupied cells and, per rank r,
+    whether a pair within `radius` can join cell r to cell r + 1: whether the
+    gap from r's largest to r + 1's smallest coordinate, squared and rooted
+    as the distance filter does, is at most `radius`.
+    """
+    order = np.argsort(coord, kind="stable")
+    ordered = coord[order]
+    cells = np.floor(ordered / side)  # non-decreasing, like the coordinates
+    new = np.r_[True, cells[1:] != cells[:-1]]
+    rank = np.empty(coord.size, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)[1:]
+    gap = ordered[starts] - ordered[starts - 1]
+    return rank, np.sqrt(gap * gap) <= radius
+
+
 def _close_pairs(points, radius):
     """Ordered pairs (i, j), i != j, of nodes at distance <= radius, sorted.
 
-    Linked-cell search: cells have side `radius` and a node is compared only
-    with the nodes of its own and the adjacent cells, one cell offset at a
-    time so that only the surviving pairs are kept.  Cells are indexed by the
-    ranks of the occupied cell coordinates along each axis, so their ids stay
-    below n^d however small `radius` is.  A rank step that skips empty cells
-    only adds candidates, which the distance filter drops.
+    Linked-cell search over occupied cells.  Cells have side `radius` and are
+    indexed by the ranks of the occupied cell coordinates along each axis, so
+    their ids stay below n^d however small `radius` is.  For each cell offset
+    (the zero offset and half of the others; the rest mirror them), one
+    `searchsorted` of the sorted cell ids shifted by the offset finds the
+    neighbour cells, and every node of a cell meets every node of its
+    neighbour.  A rank step along an axis is taken only when the two cells'
+    coordinate extents on that axis come within `radius` (`_axis_cells`), so
+    rank steps over empty cells add no candidates.  The squared coordinate
+    differences are summed in axis order and rooted, which gives the same
+    bits as `np.linalg.norm` over the difference columns; any pair it keeps
+    differs by at most `radius` on every axis, so the step rule drops none.
     """
     n, d = points.shape
-    coords = np.ascontiguousarray(points.T)
-    cells = np.floor(points / max(radius, 1e-300))
-    ranks = np.stack([np.unique(axis, return_inverse=True)[1] for axis in cells.T], axis=1)
-    sizes = ranks.max(axis=0) + 1
-    strides = np.cumprod(np.concatenate(([1], sizes[:-1])))
-    cell_ids = ranks @ strides
-    by_cell = np.argsort(cell_ids, kind="stable")
-    sorted_ids = cell_ids[by_cell]
-    found_i, found_j = [], []
-    # offsets o and -o find the same pairs mirrored: scan the zero offset and
-    # the half of the offsets after it, and mirror what they find
+    # a difference under about 1e-154 squares to a subnormal or to 0, so the
+    # filter admits it however small the radius: cells no narrower than
+    # 1e-150 keep every such pair in adjacent cells
+    side = max(radius, 1e-150)
+    ranks, steps = zip(*(_axis_cells(axis, side, radius) for axis in points.T))
+    strides = np.cumprod([1] + [step.size + 1 for step in steps[:-1]])
+    node_cell = sum(rank * stride for rank, stride in zip(ranks, strides))
+    by_cell = np.argsort(node_cell, kind="stable")
+    sorted_cells = node_cell[by_cell]
+    first = np.flatnonzero(np.r_[True, sorted_cells[1:] != sorted_cells[:-1]])
+    cell_ids, counts = sorted_cells[first], np.diff(np.r_[first, n])
+    cell_ranks = [rank[by_cell[first]] for rank in ranks]
+    coords = np.ascontiguousarray(points[by_cell].T)  # nodes in cell order
+    keys = []
     for offset in list(itertools.product((-1, 0, 1), repeat=d))[3**d // 2 :]:
-        nbr = ranks + offset
-        nbr_id = nbr @ strides
-        lo = np.searchsorted(sorted_ids, nbr_id, "left")
-        count = np.searchsorted(sorted_ids, nbr_id, "right") - lo
-        count[~np.all((nbr >= 0) & (nbr < sizes), axis=1)] = 0
-        i = np.repeat(np.arange(n), count)
-        j = by_cell[np.arange(i.size) + np.repeat(lo - np.cumsum(count) + count, count)]
-        close = np.linalg.norm(coords[:, j] - coords[:, i], axis=0) <= radius
-        keep = close & ((i < j) | any(offset))
-        found_i += [i[keep], j[keep]]
-        found_j += [j[keep], i[keep]]
-    i, j = np.concatenate(found_i), np.concatenate(found_j)
-    order = np.argsort(i * n + j)
-    return i[order], j[order]
+        allowed = np.ones(cell_ids.size, dtype=bool)
+        for rank, step, o in zip(cell_ranks, steps, offset):
+            if o:
+                allowed &= (np.r_[step, False] if o > 0 else np.r_[False, step])[rank]
+        a = np.flatnonzero(allowed)
+        target = cell_ids[a] + int(np.dot(offset, strides))
+        b = np.minimum(np.searchsorted(cell_ids, target), cell_ids.size - 1)
+        found = cell_ids[b] == target
+        a, b = a[found], b[found]
+        # every node of cell a against every node of cell b, by cell-order slot
+        per = counts[a] * counts[b]
+        local = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+        across, down = np.divmod(local, np.repeat(counts[b], per))
+        u = np.repeat(first[a], per) + across
+        v = np.repeat(first[b], per) + down
+        close = np.sqrt(sum((axis[v] - axis[u]) ** 2 for axis in coords)) <= radius
+        i, j = by_cell[u[close]], by_cell[v[close]]
+        if not any(offset):
+            i, j = i[i < j], j[i < j]
+        keys += [i * n + j, j * n + i]
+    key = np.sort(np.concatenate(keys))
+    return key // n, key % n
 
 
 def _sample(func, *points):
@@ -301,7 +342,11 @@ def stencil_kernel(d, h, measure):
     within h * 1e-9); missing targets are omitted.  A target that resolves
     to no node but has some node strictly within h/2 signals a lattice that
     is not commensurate with h.  Both scans run over the node pairs within
-    1.5 h, which contain every node that close to a target.
+    1.5 h, which contain every node that close to a target, in one pass: a
+    node within h/2 of a target x +/- h e_i is offset from x the most along
+    axis i, on that side, so each pair is measured against one target only.
+    When several nodes tie for the nearest, the lowest id wins; a stray is
+    reported for the first unresolved target in (node, axis, sign) order.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
@@ -311,28 +356,35 @@ def stencil_kernel(d, h, measure):
     band = 0.5 * h * (1.0 - 1e-9)  # open band: a node at exactly h/2 is a legitimate finer lattice
     pts = measure.points
     i, j = _close_pairs(pts, 1.5 * h)
-    offsets = (pts[j] - pts[i]).T
-    rows, cols, failures = [], [], []
-    for axis in range(d):
-        for s, sign in enumerate((1.0, -1.0)):
-            from_target = offsets.copy()
-            from_target[axis] -= sign * h
-            dist = np.linalg.norm(from_target, axis=0)
-            hits = np.flatnonzero(dist <= tol)
-            hits = hits[np.lexsort((dist[hits], i[hits]))]
-            hits = hits[np.unique(i[hits], return_index=True)[1]]  # the nearest per node
-            rows.append(i[hits])
-            cols.append(j[hits])
-            strays = np.flatnonzero((dist > 0.0) & (dist <= band) & ~np.isin(i, i[hits]))
-            if strays.size:
-                failures.append((i[strays[0]], axis, s, j[strays[0]]))
-    if failures:
-        node, axis, _, stray = min(failures)
+    i, j = i[i < j], j[i < j]
+    # a node within h/2 of the target x + sign h e_axis is offset from x the
+    # most along that axis, with that sign: one distance per pair suffices
+    from_target = np.stack([c[j] - c[i] for c in pts.T])
+    axis = np.abs(from_target).argmax(axis=0)
+    pair = np.arange(i.size)
+    toward = from_target[axis, pair]
+    sign = np.where(toward >= 0.0, 1.0, -1.0)
+    from_target[axis, pair] = toward - sign * h
+    dist = np.sqrt(sum(c**2 for c in from_target))
+    # j sees i on the same axis with the opposite sign, at the same distance
+    near = np.flatnonzero(dist <= band)
+    i, j = np.r_[i[near], j[near]], np.r_[j[near], i[near]]
+    dist, axis = np.tile(dist[near], 2), np.tile(axis[near], 2)
+    sign = np.r_[sign[near], -sign[near]]
+    target = 2 * d * i + 2 * axis + (sign < 0.0)  # (node, axis, +/-) in that order
+    hits = np.flatnonzero(dist <= tol)
+    hits = hits[np.lexsort((j[hits], dist[hits], target[hits]))]
+    hits = hits[np.unique(target[hits], return_index=True)[1]]  # the nearest per target
+    resolved = np.zeros(2 * d * len(pts), dtype=bool)
+    resolved[target[hits]] = True
+    strays = np.flatnonzero(~resolved[target])
+    if strays.size:
+        k = strays[np.lexsort((j[strays], target[strays]))[0]]
         raise NonCommensurateGrid(
-            f"target of node {node} along axis {axis} lands between nodes "
-            f"(nearest stray: node {stray})"
+            f"target of node {i[k]} along axis {axis[k]} lands between nodes "
+            f"(nearest stray: node {j[k]})"
         )
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    rows, cols = i[hits], j[hits]
     matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(pts),) * 2)
     return TransitionKernel(matrix, "stencil", {"d": d, "h": h})
 

@@ -294,6 +294,15 @@ def test_friedrichs_closed_form_unit_cube():
     assert constants["friedrichs"]().constant == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+def test_friedrichs_closed_form_square_to_rounding(h):
+    """The constant is the Rayleigh quotient of its witness, so it carries
+    no shift-invert back-transform error: 1e-15 relative at d=2."""
+    _, form = square_setup(h)
+    expected = 1.0 / (2 * (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2)
+    assert abs(friedrichs_constant(form).constant - expected) <= 1e-15 * expected
+
+
 def test_poincare_omega_degenerate_single_interior():
     _, _, _, form = three_node_setup()
     basis = nullspace(form)

@@ -1,8 +1,14 @@
 """Kernel construction, boundary detection, and symmetry diagnostics."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nlbvp import (
     AtomicMeasure,
@@ -19,6 +25,7 @@ from nlbvp.errors import (
     NonCommensurateGrid,
     NonPositiveConductance,
 )
+from nlbvp.measure import _close_pairs
 
 from conftest import three_node_setup
 
@@ -46,6 +53,56 @@ def test_measure_lookup():
     assert measure.locate([0.5 + 1e-12], tol=1e-9) == 2
     assert measure.locate([0.6], tol=1e-9) is None
     assert measure.near([0.5], 0.3) == [1, 3]
+
+
+# -- linked-cell search -----------------------------------------------------------
+
+
+def all_close_pairs(points, radius):
+    """Every ordered pair (i, j), i != j, whose distance, summed axis by axis
+    and rooted, is at most radius; sorted by (i, j)."""
+    n = len(points)
+    i, j = np.divmod(np.arange(n * n), n)
+    squares = sum((points[j, a] - points[i, a]) ** 2 for a in range(points.shape[1]))
+    keep = (np.sqrt(squares) <= radius) & (i != j)
+    return i[keep], j[keep]
+
+
+@st.composite
+def search_clouds(draw):
+    """Points in d = 1..3 and a radius: a random cloud; a lattice, possibly
+    shifted, searched at a multiple of its step; a cloud with duplicated and
+    near-duplicated nodes; or a cloud shifted by up to 1e7 and searched at
+    radius 1e-12, where the cell coordinates floor(p / r) pass 2^53."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "lattice", "duplicates", "shifted"]))
+    if kind == "lattice":
+        k = draw(st.integers(1, 6 if d < 3 else 3))
+        step = draw(st.sampled_from([1.0 / k, 0.1, 0.3, 0.7, 1.0 / 3.0]))
+        points = np.array(list(itertools.product(range(k + 1), repeat=d))) * step
+        shift = draw(st.sampled_from([0.0, 0.1, -2.7, 1e3]))
+        return points + shift, draw(st.integers(1, 3)) * step
+    n = draw(st.integers(1, 30))
+    points = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * d, max_size=n * d)))
+    points = points.reshape(n, d)
+    if kind == "random":
+        return points, draw(st.floats(0.0, 1.5))
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    nudge = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-10]))
+    points = np.concatenate([points, points[copies] + nudge])
+    if kind == "duplicates":
+        return points, draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-3, 0.3]))
+    return points * draw(st.floats(1e-3, 1.0)) + draw(st.floats(-1e7, 1e7)), 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_clouds())
+def test_close_pairs_match_all_pairs(cloud):
+    points, radius = cloud
+    i, j = _close_pairs(points, radius)
+    expected_i, expected_j = all_close_pairs(points, radius)
+    assert_array_equal(i, expected_i)
+    assert_array_equal(j, expected_j)
 
 
 # -- stencil kernel --------------------------------------------------------------
@@ -113,6 +170,67 @@ def test_stencil_far_off_lattice_node_is_ignored_2d():
     reference = stencil_kernel(2, 0.5, AtomicMeasure(square_lattice()))
     assert kernel.entries(9) == []
     assert all(kernel.entries(i) == reference.entries(i) for i in range(9))
+
+
+def stencil_loop(d, h, points):
+    """Per node, axis and sign in that order: the nearest node within h 1e-9
+    of the target (the lowest id on ties) as a CSR kernel matrix, or, at the
+    first target that resolves to no node, the lowest-id node strictly within
+    h/2 of it as (node, axis, stray)."""
+    tol, band = h * 1e-9, 0.5 * h * (1.0 - 1e-9)
+    rows, cols = [], []
+    for x, axis, sign in itertools.product(range(len(points)), range(d), (1.0, -1.0)):
+        from_target = points - points[x]
+        from_target[:, axis] -= sign * h
+        dist = np.linalg.norm(from_target, axis=1)
+        if dist.min() <= tol:
+            rows.append(x)
+            cols.append(int(np.argmin(dist)))
+        elif np.any((dist > 0.0) & (dist <= band)):
+            return x, axis, int(np.flatnonzero((dist > 0.0) & (dist <= band))[0])
+    shape = (len(points),) * 2
+    matrix = sp.csr_matrix((np.full(len(rows), 1.0 / (h * h)), (rows, cols)), shape=shape)
+    matrix.sum_duplicates()
+    return matrix
+
+
+@st.composite
+def stencil_lattices(draw):
+    """A random subset of the step-1/k lattice nodes of [0, 1]^d, as
+    `stencil_forms` draws them (d = 3 added), with or without one stray node
+    placed off a lattice node by less than 0.6 h per axis."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, (10, 3, 2)[d - 1]))
+    lattice = np.array(list(itertools.product(np.arange(k + 1) / k, repeat=d)))
+    keep = sorted(draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, unique=True)))
+    points = lattice[keep]
+    if draw(st.booleans()):
+        offset = draw(st.lists(st.floats(-0.6, 0.6), min_size=d, max_size=d))
+        stray = lattice[draw(st.integers(0, len(lattice) - 1))] + np.array(offset) / k
+        assume(np.linalg.norm(points - stray, axis=1).min() > 1e-9)
+        position = draw(st.integers(0, len(points)))
+        points = np.insert(points, position, stray, axis=0)
+    return d, 1.0 / k, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(stencil_lattices())
+def test_stencil_kernel_matches_node_loop(lattice):
+    d, h, points = lattice
+    expected = stencil_loop(d, h, points)
+    if isinstance(expected, tuple):
+        node, axis, stray = expected
+        message = (
+            f"target of node {node} along axis {axis} lands between nodes "
+            f"(nearest stray: node {stray})"
+        )
+        with pytest.raises(NonCommensurateGrid, match=re.escape(message)):
+            stencil_kernel(d, h, AtomicMeasure(points))
+        return
+    matrix = stencil_kernel(d, h, AtomicMeasure(points)).matrix
+    assert_array_equal(matrix.indptr, expected.indptr)
+    assert_array_equal(matrix.indices, expected.indices)
+    assert_array_equal(matrix.data, expected.data)
 
 
 # -- graph kernel ----------------------------------------------------------------
