@@ -210,14 +210,15 @@ def _poincare_omega(form, basis):
     m = form.domain.m
     diag = form.matrix.diagonal()[m:]
     # a boundary node with no coupling left has an empty column in A_og
-    inverse_gg = sp.diags(np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0))
-    coupling = form.gamma_block
-    schur = (form.omega_block - coupling @ inverse_gg @ coupling.T).tocsr()
+    inverse_gg = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)
+    scaled = form.gamma_block.copy()  # A_og diag(A_gg)^{-1}
+    scaled.data *= inverse_gg[scaled.indices]
+    schur = form.omega_block - scaled @ form.gamma_block.T
     lam, vec = linalg.smallest_eigenpairs(
         schur, form.mass_omega, count=1, deflate=basis.vectors[:m]
     )
     interior = vec[:, 0] if lam.size else np.zeros(m)
-    witness = np.concatenate([interior, -(inverse_gg @ (coupling.T @ interior))])
+    witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])
     return _gap_report(lam, witness, basis.tolerance)
 
 

@@ -9,14 +9,14 @@ where the outer sum runs over interior nodes only; boundary-boundary
 interactions contribute nothing.  Node functions are plain numpy vectors in
 the domain's canonical ordering (interior block first, boundary block last).
 
-Assembly is a sparse-matrix expression over W = diag(mass) K restricted to
-the canonical ordering: the coupling matrix
+Assembly reads the CSR arrays of W = diag(mass) K: its interior rows, with
+columns renumbered to the canonical ordering, exterior columns dropped and
+interior-interior entries halved, form H, and the coupling matrix
 
-    C = [[(W_oo + W_oo^T) / 2, W_og], [W_og^T, 0]]
+    C = H + H^T = [[(W_oo + W_oo^T) / 2, W_og], [W_og^T, 0]]
 
-is symmetric entry by entry, and the form matrix A = diag(C 1) - C inherits
-that, so the assembled matrix is exactly symmetric.  The pointwise operators
-and residuals sum the atoms w (u_x - u_y) of each row of K.
+is symmetric entry by entry, so A = diag(C 1) - C is exactly symmetric.  The
+pointwise operators and residuals sum the atoms w (u_x - u_y) of each row of K.
 """
 
 from __future__ import annotations
@@ -77,9 +77,15 @@ def assemble_form(kernel, measure, domain):
             f"kernel symmetry defect {defect:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}"
         )
     m, n = domain.m, domain.n
-    interior = (sp.diags(measure.masses) @ kernel.matrix)[domain.omega]
-    w_oo, w_og = interior[:, domain.omega], interior[:, domain.gamma]
-    coupling = sp.bmat([[0.5 * (w_oo + w_oo.T), w_og], [w_og.T, None]], format="csr")
+    half = kernel.matrix[domain.omega]  # H: these rows of W, renumbered and filtered
+    cols = domain._pos[half.indices]
+    half.data *= np.repeat(measure.masses[domain.omega], np.diff(half.indptr))
+    half.data *= np.where(cols < m, 0.5, 1.0) * (cols >= 0)  # an exterior column becomes 0
+    half.indices[:] = np.maximum(cols, 0)
+    half.eliminate_zeros()
+    half.resize(n, n)
+    half.sort_indices()
+    coupling = half + half.T
     matrix = (sp.diags(coupling @ np.ones(n)) - coupling).tocsr()
     masses = measure.masses[domain.order]
     return AssembledForm(

@@ -259,22 +259,22 @@ def _require(data, key):
 
 def _parse_nodes(data, dimension):
     raw = _require(data, "nodes")
-    points, masses = [], []
-    for entry in raw:
-        entry = list(entry) if isinstance(entry, (list, tuple)) else [entry]
-        if len(entry) == dimension:
-            points.append(entry)
-            masses.append(1.0)
-        elif len(entry) == dimension + 1:
-            points.append(entry[:dimension])
-            masses.append(float(entry[dimension]))
-        else:
-            raise DocumentError(
-                f"node entry {entry} does not match dimension {dimension}"
-            )
-    if not points:
-        raise DocumentError("document contains no nodes")
-    return np.array(points, dtype=float), np.array(masses)
+    try:  # a rectangular node list is read in one call
+        table = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        table = np.empty((0, 0))
+    if table.ndim != 2 or not len(table) or table.shape[1] not in (dimension, dimension + 1):
+        rows = []  # entry by entry: pads ragged lists with unit masses, names a bad entry
+        for entry in raw:
+            entry = list(entry) if isinstance(entry, (list, tuple)) else [entry]
+            if len(entry) not in (dimension, dimension + 1):
+                raise DocumentError(f"node entry {entry} does not match dimension {dimension}")
+            rows.append(entry + [1.0] * (dimension + 1 - len(entry)))
+        if not rows:
+            raise DocumentError("document contains no nodes")
+        table = np.array(rows, dtype=float)
+    masses = table[:, dimension] if table.shape[1] > dimension else np.ones(len(table))
+    return np.ascontiguousarray(table[:, :dimension]), np.ascontiguousarray(masses)
 
 
 def positive_finite(value, name):

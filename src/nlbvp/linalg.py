@@ -8,8 +8,9 @@ Two workhorses live here:
   there up to rounding;
 * the package's one eigensolver, for the smallest eigenpairs of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
-  one sparse LU factorization of the shifted pencil per call, handed to
-  ARPACK's shift-invert Lanczos, with deflation against a given subspace.
+  one sparse LU factorization per call of the pencil, scaled and shifted on
+  its CSR arrays, for ARPACK's shift-invert Lanczos, deflated against a
+  given subspace.
   The Lanczos basis holds 2 count + 4 vectors and stops once every Ritz
   residual is at most EIGEN_TOL relative to its Ritz value: for a symmetric
   pencil the Ritz value's error is bounded by residual^2 / gap (Kato-Temple),
@@ -136,22 +137,22 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
 def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
-    Works on the mass-scaled matrix B = D^{-1/2} A D^{-1/2}, restricted to the
+    Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled), restricted to the
     D-orthogonal complement of the columns of `deflate` (which should span an
-    invariant subspace, such as a nullspace).  The shifted matrix B + s I,
-    with s a small positive multiple of ||B||, is factored once by `splu`, and
-    ARPACK's shift-invert Lanczos (`eigsh`, sigma = -s) runs on that
-    factorization from a fixed start vector.  Its Krylov basis holds
-    min(free, 2 count + 4) vectors (6 for one pair; free is the dimension
-    of the searched space) and it stops when each Ritz residual is at most
-    EIGEN_TOL times its Ritz value.  The Ritz value's relative error is then
-    at most about EIGEN_TOL^2 over the relative gap to the next eigenvalue
-    (Kato-Temple), below rounding unless that gap is under 1e-4, so the
-    eigenvalues are those of a machine-precision run with fewer solves.
-    ARPACK needs `count` below the dimension of the searched space minus
-    one; otherwise a dense `eigh` of the compressed matrix answers.  Either
-    way each eigenvalue is returned as the Rayleigh quotient
-    v^T A v / v^T D v of its vector, one sparse product for all of them.
+    invariant subspace, such as a nullspace).  B + s I, s = 1e-6 ||B||_inf
+    added on the diagonal, is factored once by `splu`, and ARPACK's
+    shift-invert Lanczos (`eigsh`, sigma = -s) runs on that factorization from
+    a fixed start vector.  Its Krylov basis holds min(free, 2 count + 4)
+    vectors (6 for one pair; free is the dimension of the searched space) and
+    it stops when each Ritz residual is at most EIGEN_TOL times its Ritz
+    value.  The Ritz value's relative error is then at most about EIGEN_TOL^2
+    over the relative gap to the next eigenvalue (Kato-Temple), below rounding
+    unless that gap is under 1e-4, so the eigenvalues are those of a
+    machine-precision run with fewer solves.  ARPACK needs `count` below the
+    dimension of the searched space minus one; otherwise a dense `eigh` of the
+    compressed matrix answers.  Either way each eigenvalue is returned as the
+    Rayleigh quotient v^T A v / v^T D v of its vector, one sparse product for
+    all of them.
 
     Returns
     -------
@@ -160,8 +161,9 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     """
     n = matrix.shape[0]
     scale = 1.0 / np.sqrt(masses)
-    scaling = sp.diags(scale)
-    b = (scaling @ matrix @ scaling).tocsc()
+    matrix = sp.csr_matrix(matrix)
+    data = np.repeat(scale, np.diff(matrix.indptr)) * matrix.data * scale[matrix.indices]
+    b = sp.csr_matrix((data, matrix.indices, matrix.indptr), matrix.shape).tocsc()  # B
     if deflate is None:
         q = np.empty((n, 0))
     else:  # orthonormal in the scaled coordinates; drops dependent columns
@@ -173,22 +175,19 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
         values, vectors = scipy.linalg.eigh(complement.T @ (b @ complement))
         values, vectors = values[:count], complement @ vectors[:, :count]
     else:
-        shift = 1e-6 * spla.norm(b, np.inf) + 1e-30
+        filled = np.flatnonzero(np.diff(matrix.indptr))  # ||B||_inf: the largest row sum of |B|
+        shift = 1e-6 * np.add.reduceat(np.abs(data), matrix.indptr[filled]).max(initial=0.0) + 1e-30
+        b.setdiag(b.diagonal() + shift)  # B + sI; given OPinv, eigsh reads only its shape
         # B + sI is symmetric positive definite: a symmetric fill-reducing
         # ordering with diagonal pivots needs no row interchanges
         factor = spla.splu(
-            b + shift * sp.identity(n, format="csc"),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
+            b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
         )
 
         def project(x):
-            return x - q @ (q.T @ x)
+            return x - q @ (q.T @ x) if q.shape[1] else x
 
-        inverse = spla.LinearOperator(
-            (n, n), matvec=lambda x: project(factor.solve(project(x))), dtype=float
-        )
+        inverse = spla.LinearOperator((n, n), lambda x: project(factor.solve(project(x))), dtype=float)
         start = project(np.random.default_rng(0).standard_normal(n))
         try:
             values, vectors = spla.eigsh(

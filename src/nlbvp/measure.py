@@ -3,19 +3,19 @@
 A measure is a finite set of nodes in R^d with strictly positive masses.
 A transition kernel on n nodes is one non-negative n x n CSR matrix K with
 K[x, y] = K(x, {y}); evaluating it on a node set sums a row over the set's
-columns.  Symmetry with respect to the measure says that W = diag(m) K equals
-its transpose, so the symmetry check, the boundary split and everything built
-on them downstream are sparse-matrix expressions over K or W.
+columns.  Symmetry with respect to the measure says that W = diag(m) K (K's
+data scaled by row masses) equals its transpose, so the symmetry check, the
+boundary split and all downstream stages are sparse expressions over K or W.
 
 Nodes are paired by one linked-cell search (`_close_pairs`): nodes are binned
 into cells of the search radius, and the occupied cells look up their
-neighbour cells once per cell offset.  A step between adjacent cells along an
-axis is taken only when the two cells' coordinate extents on that axis come
-within the radius, so a tiny radius compares each node with its own cell
-alone.  Distances are summed axis by axis, exactly as `np.linalg.norm` sums
-them, so the pairs found do not depend on how they were searched.  The search
-serves the coincidence scan of the measure, stencil target resolution and
-quadrature neighborhoods.
+neighbour cells once per cell offset, so each unordered pair is found once.
+A step between adjacent cells along an axis is taken only when the two
+cells' coordinate extents on that axis come within the radius, so a tiny
+radius compares each node with its own cell alone.  Distances are summed
+axis by axis, exactly as `np.linalg.norm` sums them, so the pairs found do
+not depend on how they were searched.  The search serves the coincidence
+scan of the measure, stencil target resolution and quadrature neighborhoods.
 
 The node x itself never appears in its own support: the difference
 u(x) - u(y) vanishes on the diagonal, so diagonal atoms would contribute
@@ -71,7 +71,7 @@ def _axis_cells(coord, side, radius):
 
 
 def _close_pairs(points, radius):
-    """Ordered pairs (i, j), i != j, of nodes at distance <= radius, sorted.
+    """Pairs (i, j), i < j, of nodes at distance <= radius, sorted.
 
     Linked-cell search over occupied cells.  Cells have side `radius` and are
     indexed by the ranks of the occupied cell coordinates along each axis, so
@@ -79,12 +79,13 @@ def _close_pairs(points, radius):
     (the zero offset and half of the others; the rest mirror them), one
     `searchsorted` of the sorted cell ids shifted by the offset finds the
     neighbour cells, and every node of a cell meets every node of its
-    neighbour.  A rank step along an axis is taken only when the two cells'
-    coordinate extents on that axis come within `radius` (`_axis_cells`), so
-    rank steps over empty cells add no candidates.  The squared coordinate
-    differences are summed in axis order and rooted, which gives the same
-    bits as `np.linalg.norm` over the difference columns; any pair it keeps
-    differs by at most `radius` on every axis, so the step rule drops none.
+    neighbour, so each unordered pair is met once.  A rank step along an axis
+    is taken only when the two cells' coordinate extents on that axis come
+    within `radius` (`_axis_cells`), so rank steps over empty cells add no
+    candidates.  The squared coordinate differences are summed in axis order
+    and rooted, which gives the same bits as `np.linalg.norm` over the
+    difference columns; any pair it keeps differs by at most `radius` on
+    every axis, so the step rule drops none.
     """
     n, d = points.shape
     # a difference under about 1e-154 squares to a subnormal or to 0, so the
@@ -121,7 +122,7 @@ def _close_pairs(points, radius):
         i, j = by_cell[u[close]], by_cell[v[close]]
         if not any(offset):
             i, j = i[i < j], j[i < j]
-        keys += [i * n + j, j * n + i]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
     key = np.sort(np.concatenate(keys))
     return key // n, key % n
 
@@ -345,8 +346,9 @@ def stencil_kernel(d, h, measure):
     1.5 h, which contain every node that close to a target, in one pass: a
     node within h/2 of a target x +/- h e_i is offset from x the most along
     axis i, on that side, so each pair is measured against one target only.
-    When several nodes tie for the nearest, the lowest id wins; a stray is
-    reported for the first unresolved target in (node, axis, sign) order.
+    When several nodes tie for the nearest, the lowest id wins; the first
+    unresolved target in (node, axis, sign) order is reported with its
+    nearest stray, the lowest id on ties.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
@@ -356,7 +358,6 @@ def stencil_kernel(d, h, measure):
     band = 0.5 * h * (1.0 - 1e-9)  # open band: a node at exactly h/2 is a legitimate finer lattice
     pts = measure.points
     i, j = _close_pairs(pts, 1.5 * h)
-    i, j = i[i < j], j[i < j]
     # a node within h/2 of the target x + sign h e_axis is offset from x the
     # most along that axis, with that sign: one distance per pair suffices
     from_target = np.stack([c[j] - c[i] for c in pts.T])
@@ -379,7 +380,7 @@ def stencil_kernel(d, h, measure):
     resolved[target[hits]] = True
     strays = np.flatnonzero(~resolved[target])
     if strays.size:
-        k = strays[np.lexsort((j[strays], target[strays]))[0]]
+        k = strays[np.lexsort((j[strays], dist[strays], target[strays]))[0]]
         raise NonCommensurateGrid(
             f"target of node {i[k]} along axis {axis[k]} lands between nodes "
             f"(nearest stray: node {j[k]})"
@@ -461,7 +462,6 @@ def quadrature_kernel(gamma, delta, measure):
         raise ValueError(f"interaction radius delta must be positive and finite, got {delta}")
     pts = measure.points
     i, j = _close_pairs(pts, delta + measure.lookup_tol)
-    i, j = i[i < j], j[i < j]
     g_ij, g_ji = _sample(gamma, pts[i], pts[j]), _sample(gamma, pts[j], pts[i])
     nonfinite = np.flatnonzero(~(np.isfinite(g_ij) & np.isfinite(g_ji)))
     if nonfinite.size:
@@ -477,8 +477,11 @@ def quadrature_kernel(gamma, delta, measure):
         raise AsymmetricDensity(
             f"gamma({i[k]}, {j[k]}) = {float(g_ij[k])} but gamma({j[k]}, {i[k]}) = {float(g_ji[k])}"
         )
-    density = sp.csr_matrix((np.r_[g_ij, g_ji], (np.r_[i, j], np.r_[j, i])), shape=(len(pts),) * 2)
-    return TransitionKernel(density @ sp.diags(measure.masses), "quadrature", {"delta": delta})
+    # K(x, {y}) = gamma(x, y) mass(y); each row's columns come out ascending
+    weights = np.r_[g_ji * measure.masses[i], g_ij * measure.masses[j]]
+    matrix = sp.csr_matrix((weights, (np.r_[j, i], np.r_[i, j])), shape=(len(pts),) * 2)
+    matrix.eliminate_zeros()  # a weight that is exactly zero is no atom
+    return TransitionKernel(matrix, "quadrature", {"delta": delta})
 
 
 def symmetry_defect(kernel, measure):
@@ -490,5 +493,6 @@ def symmetry_defect(kernel, measure):
     """
     if len(kernel) != len(measure):
         raise ValueError("kernel and measure describe different node counts")
-    weights = sp.diags(measure.masses) @ kernel.matrix
+    weights = kernel.matrix.copy()  # W: each row's data scaled by its node's mass
+    weights.data *= np.repeat(measure.masses, np.diff(weights.indptr))
     return float(abs(weights - weights.T).max())

@@ -146,15 +146,16 @@ def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
             f"nullspace (defect={defect:.6e}, tolerance={limit:.6e}); "
             "no solution exists"
         )
-    masses = form.mass_diag
-    b = masses * np.concatenate([problem.f, problem.g])
+    b = form.mass_diag * np.concatenate([problem.f, problem.g])
     w = basis.vectors
     q, _ = np.linalg.qr(w)  # Euclidean basis of the kernel; (n, 0) when empty
     rhs = b - q @ (q.T @ b)
+    if 2.0 * (rhs @ rhs) < b @ b:  # b was mostly kernel: project away the rounding left there
+        rhs -= q @ (q.T @ rhs)
     if np.linalg.norm(rhs) <= b.size * np.finfo(float).eps * np.linalg.norm(b):
         rhs[:] = 0.0  # the load lies in the kernel up to the rounding of its projection
     x, residual, iterations = linalg.conjugate_gradient(form.matrix, rhs, tol=tol)
-    x = x - w @ (w.T @ (masses * x))  # mass-orthogonal representative
+    x = x - w @ (w.T @ (form.mass_diag * x))  # mass-orthogonal representative
     return Solution(u=x, residual=residual, iterations=iterations, projected=True, kind="neumann")
 
 

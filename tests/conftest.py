@@ -110,24 +110,32 @@ def couplings_separated(form):
 
 
 @st.composite
-def quadrature_forms(draw):
-    """The form of a `point_clouds` quadrature kernel on at most 12 distinct
-    nodes, its couplings separated from the nullspace tolerance."""
+def quadrature_setups(draw):
+    """(kernel, measure, domain) of a `point_clouds` quadrature kernel on at
+    most 12 distinct nodes."""
     points, masses, delta, density, omega, _ = draw(point_clouds(max_nodes=12))
     gaps = np.linalg.norm(points[:, None] - points[None], axis=-1)
     assume(gaps[~np.eye(len(points), dtype=bool)].min() > 1e-9)
     measure = AtomicMeasure(points, masses)
     kernel = quadrature_kernel(density, delta, measure)
-    form = assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
+    return kernel, measure, nonlocal_boundary(kernel, omega, measure)
+
+
+@st.composite
+def quadrature_forms(draw):
+    """The form of a `quadrature_setups` kernel, its couplings separated from
+    the nullspace tolerance."""
+    form = assemble_form(*draw(quadrature_setups()))
     assume(couplings_separated(form))
     return form
 
 
 @st.composite
-def stencil_forms(draw):
-    """The form of the step-1/k stencil kernel on a random subset of the
-    lattice nodes of [0, 1]^d (d = 1 or 2), with equal masses, so that some
-    nodes lose neighbours and the coupling graph may fall apart."""
+def stencil_setups(draw):
+    """(kernel, measure, domain) of the step-1/k stencil kernel on a random
+    subset of the lattice nodes of [0, 1]^d (d = 1 or 2), with equal masses,
+    so that some nodes lose neighbours and the coupling graph may fall
+    apart."""
     d = draw(st.integers(1, 2))
     k = draw(st.integers(1, 10 if d == 1 else 3))
     lattice = np.array(list(itertools.product(np.arange(k + 1) / k, repeat=d)))
@@ -136,7 +144,12 @@ def stencil_forms(draw):
     measure = AtomicMeasure(lattice[keep], np.full(len(keep), mass))
     kernel = stencil_kernel(d, 1.0 / k, measure)
     omega = draw(st.lists(st.integers(0, len(keep) - 1), min_size=1, unique=True))
-    return assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
+    return kernel, measure, nonlocal_boundary(kernel, omega, measure)
+
+
+def stencil_forms():
+    """The form of a `stencil_setups` kernel."""
+    return stencil_setups().map(lambda setup: assemble_form(*setup))
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
-from numpy.testing import assert_allclose
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nlbvp import (
     AtomicMeasure,
@@ -14,6 +16,7 @@ from nlbvp import (
     bilinear,
     energy_dirichlet,
     energy_neumann,
+    graph_kernel,
     ibp_residual,
     negative_part,
     nonlocal_boundary,
@@ -29,7 +32,14 @@ from nlbvp.errors import (
     NodeNotInOmega,
 )
 
-from conftest import interval_setup, point_clouds, square_setup, three_node_setup
+from conftest import (
+    interval_setup,
+    point_clouds,
+    quadrature_setups,
+    square_setup,
+    stencil_setups,
+    three_node_setup,
+)
 
 
 def brute_force_bilinear(kernel, measure, domain, u, v):
@@ -254,3 +264,44 @@ def test_kernel_layer_matches_pair_loops(cloud):
     direct = brute_force_bilinear(kernel, measure, domain, u, v)
     assert abs(bilinear(form, u, v) - direct) <= 1e-12 * scale
     assert ibp_residual(form, kernel, measure, domain, u, v) <= 1e-12 * scale
+
+
+# -- the form against its block formula ------------------------------------------------
+
+
+def block_formula(kernel, measure, domain):
+    """The form matrix by its defining block formula over W = diag(mass) K:
+    C = [[(W_oo + W_oo^T) / 2, W_og], [W_og^T, 0]] and A = diag(C 1) - C."""
+    interior = (sp.diags(measure.masses) @ kernel.matrix)[domain.omega]
+    w_oo, w_og = interior[:, domain.omega], interior[:, domain.gamma]
+    coupling = sp.bmat([[0.5 * (w_oo + w_oo.T), w_og], [w_og.T, None]], format="csr")
+    return (sp.diags(coupling @ np.ones(domain.n)) - coupling).tocsr()
+
+
+@st.composite
+def graph_setups(draw):
+    """(kernel, measure, domain) of `graph_kernel` on a random graph with
+    conductances in [1e-3, 10] and no isolated vertex; its W = diag(degree) K
+    is symmetric only up to rounding."""
+    n = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    assume(len({v for pair in chosen for v in pair}) == n)
+    edges = [(i, j, draw(st.floats(1e-3, 10.0))) for i, j in chosen]
+    kernel, measure = graph_kernel(edges)
+    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return kernel, measure, nonlocal_boundary(kernel, omega, measure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graph_setups(), quadrature_setups(), stencil_setups()))
+def test_form_matches_block_formula_and_is_semidefinite(setup):
+    kernel, measure, domain = setup
+    form = assemble_form(kernel, measure, domain)
+    expected = block_formula(kernel, measure, domain)
+    for name in ("indptr", "indices", "data"):
+        assert_array_equal(getattr(form.matrix, name), getattr(expected, name))
+        assert getattr(form.matrix, name).dtype == getattr(expected, name).dtype
+    matrix = form.matrix.toarray()
+    norm = np.abs(matrix).sum(axis=1).max()
+    assert np.linalg.eigvalsh(matrix)[0] >= -1e-12 * norm

@@ -101,6 +101,8 @@ def test_close_pairs_match_all_pairs(cloud):
     points, radius = cloud
     i, j = _close_pairs(points, radius)
     expected_i, expected_j = all_close_pairs(points, radius)
+    upper = expected_i < expected_j  # each unordered pair once
+    expected_i, expected_j = expected_i[upper], expected_j[upper]
     assert_array_equal(i, expected_i)
     assert_array_equal(j, expected_j)
 
@@ -134,6 +136,14 @@ def test_stencil_noncommensurate_grid():
     measure = AtomicMeasure([[0.0], [0.3], [0.6]])
     with pytest.raises(NonCommensurateGrid):
         stencil_kernel(1, 0.25, measure)
+
+
+def test_stencil_reports_nearest_stray():
+    # the target 1.0 of node 0 has strays 1.3 (id 1) and 0.8 (id 2) within h/2
+    measure = AtomicMeasure([[0.0], [1.3], [0.8]])
+    message = "target of node 0 along axis 0 lands between nodes (nearest stray: node 2)"
+    with pytest.raises(NonCommensurateGrid, match=re.escape(message)):
+        stencil_kernel(1, 1.0, measure)
 
 
 def square_lattice(h=0.5):
@@ -175,8 +185,8 @@ def test_stencil_far_off_lattice_node_is_ignored_2d():
 def stencil_loop(d, h, points):
     """Per node, axis and sign in that order: the nearest node within h 1e-9
     of the target (the lowest id on ties) as a CSR kernel matrix, or, at the
-    first target that resolves to no node, the lowest-id node strictly within
-    h/2 of it as (node, axis, stray)."""
+    first target that resolves to no node, the nearest node strictly within
+    h/2 of it (the lowest id on ties) as (node, axis, stray)."""
     tol, band = h * 1e-9, 0.5 * h * (1.0 - 1e-9)
     rows, cols = [], []
     for x, axis, sign in itertools.product(range(len(points)), range(d), (1.0, -1.0)):
@@ -187,7 +197,8 @@ def stencil_loop(d, h, points):
             rows.append(x)
             cols.append(int(np.argmin(dist)))
         elif np.any((dist > 0.0) & (dist <= band)):
-            return x, axis, int(np.flatnonzero((dist > 0.0) & (dist <= band))[0])
+            strays = np.flatnonzero((dist > 0.0) & (dist <= band))
+            return x, axis, int(strays[np.argmin(dist[strays])])
     shape = (len(points),) * 2
     matrix = sp.csr_matrix((np.full(len(rows), 1.0 / (h * h)), (rows, cols)), shape=shape)
     matrix.sum_duplicates()
@@ -197,7 +208,7 @@ def stencil_loop(d, h, points):
 @st.composite
 def stencil_lattices(draw):
     """A random subset of the step-1/k lattice nodes of [0, 1]^d, as
-    `stencil_forms` draws them (d = 3 added), with or without one stray node
+    `stencil_setups` draws them (d = 3 added), with or without one stray node
     placed off a lattice node by less than 0.6 h per axis."""
     d = draw(st.integers(1, 3))
     k = draw(st.integers(1, (10, 3, 2)[d - 1]))

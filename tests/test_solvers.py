@@ -22,6 +22,7 @@ from nlbvp import (
     solve_dirichlet,
     solve_neumann,
     solve_regularized,
+    stencil_kernel,
     strong_residual,
 )
 from nlbvp.errors import (
@@ -115,6 +116,38 @@ def test_neumann_zero_data():
     sol = solve_neumann(NeumannProblem(form, np.zeros(1), np.zeros(2)), basis)
     assert_allclose(sol.u, np.zeros(3), atol=1e-14)
     assert sol.projected
+
+
+def test_neumann_load_in_kernel_up_to_rounding():
+    # two nodes of mass 0.5035, one interior and one boundary: the constant
+    # load, projected off the kernel, is rounding noise along the kernel, and
+    # one projection inside the solve leaves 3 eps ||b|| of it, above n eps ||b||
+    measure = AtomicMeasure([[0.0], [1.0]], [0.5035, 0.5035])
+    kernel = stencil_kernel(1, 1.0, measure)
+    form = assemble_form(kernel, measure, nonlocal_boundary(kernel, [0], measure))
+    basis = nullspace(form)
+    w = basis.vectors
+    load = np.full(2, 0.5)
+    load -= w @ (w.T @ (form.mass_diag * load))
+    sol = solve_neumann(NeumannProblem(form, load[:1], load[1:]), basis)
+    assert np.array_equal(sol.u, np.zeros(2)) and sol.iterations == 0
+
+
+def test_neumann_load_mostly_in_kernel():
+    # a compatible load whose kernel part (within the compatibility tolerance)
+    # is 1e6 times its range part: one projection leaves more rounding along
+    # the kernel than CG's tolerance allows on the range part.  The sum rounds
+    # the range part to about 2e-10 relative, hence the bound.
+    grid, form = interval_setup(1.0 / 16.0)
+    basis = nullspace(form)
+    a, mass = form.matrix.toarray(), form.mass_diag
+    ramp = np.linspace(-1.0, 1.0, form.n)
+    ramp -= basis.vectors @ (basis.vectors.T @ (mass * ramp))
+    load = 1e-11 + 1e-17 * ramp
+    sol = solve_neumann(NeumannProblem(form, load[: grid.m], load[grid.m :]), basis)
+    reference = np.linalg.lstsq(a, mass * 1e-17 * ramp, rcond=None)[0]
+    reference -= basis.vectors @ (basis.vectors.T @ (mass * reference))
+    assert np.linalg.norm(sol.u - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
 def test_neumann_three_node_example():
