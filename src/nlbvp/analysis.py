@@ -93,11 +93,13 @@ def _scaled_diag_max(matrix, masses):
 
 
 def _components(form, tol=None):
-    """Connected components of the form's coupling graph after weak couplings
-    are dropped, as (tol, count, labels); see `nullspace` for the rule."""
+    """Components of the form's coupling graph after weak couplings are dropped
+    (see `nullspace`), as (tol, count, labels), kept on the form at the default tol."""
     n = form.n
-    if tol is None:
-        tol = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.matrix, form.mass_diag), 1e-300)
+    default = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.matrix, form.mass_diag), 1e-300)
+    if (tol is None or tol == default) and form.components is not None:
+        return form.components
+    tol = default if tol is None else tol
     if tol <= 0.0:
         raise ValueError("nullspace tolerance must be positive")
     # the couplings above the diagonal, read off the CSR arrays
@@ -114,6 +116,8 @@ def _components(form, tol=None):
     kept = ~weak | (weak_sum[row] >= tol) | (weak_sum[col] >= tol)
     graph = sp.coo_matrix((np.ones(np.count_nonzero(kept)), (row[kept], col[kept])), shape=(n, n))
     count, labels = csgraph.connected_components(graph, directed=False)
+    if tol == default:
+        form.components = (tol, count, labels)
     return tol, count, labels
 
 
@@ -200,20 +204,21 @@ def _poincare_omega(form, basis):
     interior-mass orthogonal to the nullspace, by Kron reduction.
 
     Boundary nodes never interact, so the boundary block of the form is
-    diagonal.  Eliminating it leaves the Schur complement
-    S = A_oo - A_og diag(A_gg)^{-1} A_go on the interior, and v^T S v is the
-    least energy of any function with interior values v.  The constant is
-    1 / lambda, lambda the smallest eigenvalue of (S, interior masses) on the
-    interior-mass complement of the nullspace's interior part; the witness
-    extends the eigenvector to the boundary by that energy minimizer.
+    diagonal.  Eliminating it leaves the Schur complement S = A_oo - Y Y^T,
+    Y = A_og diag(A_gg)^{-1/2}, on the interior, exactly symmetric (S_ac and
+    S_ca sum the same products in order); v^T S v is the least energy of any
+    function with interior values v.  The constant is 1 / lambda, lambda the
+    smallest eigenvalue of (S, interior masses) on the interior-mass
+    complement of the nullspace's interior part; the witness extends the
+    eigenvector to the boundary by that energy minimizer.
     """
     m = form.domain.m
     diag = form.matrix.diagonal()[m:]
     # a boundary node with no coupling left has an empty column in A_og
     inverse_gg = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0.0)
-    scaled = form.gamma_block.copy()  # A_og diag(A_gg)^{-1}
-    scaled.data *= inverse_gg[scaled.indices]
-    schur = form.omega_block - scaled @ form.gamma_block.T
+    y = form.gamma_block.copy()  # Y: A_og's data scaled
+    y.data *= np.sqrt(inverse_gg)[y.indices]
+    schur = form.omega_block - y @ y.T
     lam, vec = linalg.smallest_eigenpairs(
         schur, form.mass_omega, count=1, deflate=basis.vectors[:m]
     )

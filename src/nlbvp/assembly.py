@@ -21,7 +21,7 @@ pointwise operators and residuals sum the atoms w (u_x - u_y) of each row of K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,7 @@ class AssembledForm:
     mass_diag    : node masses over the canonical ordering
     mass_omega   : node masses restricted to the interior block
     symmetry_defect : the kernel's symmetry defect, checked at assembly
+    components   : the default-tolerance labelling, cached by `analysis`
     """
 
     matrix: sp.csr_matrix
@@ -57,6 +58,7 @@ class AssembledForm:
     domain: object
     measure: object
     symmetry_defect: float
+    components: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self):

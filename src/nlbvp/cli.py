@@ -113,6 +113,7 @@ def cmd_diagnose(args):
         "poincare_constant_full": poincare_full.constant,
         "compatibility_defect": compat,
         "max_principle": principle,
+        "weak_gamma": [int(node) for node in doc.domain.weak_gamma],
     }
     if doc.domain.l:
         weight = analysis.trace_weight(doc.kernel, doc.domain, variant="sufficient")

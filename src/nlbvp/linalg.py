@@ -2,10 +2,10 @@
 
 Two workhorses live here:
 
-* a conjugate-gradient loop for symmetric positive (semi-)definite systems;
-  a consistent singular system (load in the range) needs no projection
-  inside the loop, since from a start in the range every iterate stays
-  there up to rounding;
+* a Jacobi-preconditioned conjugate-gradient loop for symmetric positive
+  (semi-)definite systems, stopped on the unpreconditioned residual; on a
+  consistent singular system a kernel component the iterate picks up is
+  removed by the caller's final mass-orthogonal shift;
 * the package's one eigensolver, for the smallest eigenpairs of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization per call of the pencil, scaled and shifted on
@@ -39,7 +39,7 @@ EIGEN_TOL = 1e-10
 
 
 def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
-    """Solve matrix @ x = rhs by CG with relative-residual stopping rule.
+    """Solve matrix @ x = rhs by Jacobi-preconditioned CG, stopping on rhs - matrix x.
 
     Parameters
     ----------
@@ -85,12 +85,15 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
         floor = tol * (matrix_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         return true_res, bool(np.max(np.abs(residual)) <= floor)
 
+    diag = matrix.diagonal()
+    weight = 1.0 / np.where(diag == 0.0, 1.0, diag)  # z = D^{-1} r; weight 1 on a zero diagonal
     r = rhs - matrix @ x
-    p = r.copy()
-    rs = float(r @ r)
+    z = weight * r
+    p = z.copy()
+    rz = float(r @ z)
     best, stalls = np.inf, 0
     for k in range(1, maxiter + 1):
-        if np.sqrt(rs) <= tol * rhs_norm:
+        if np.sqrt(r @ r) <= tol * rhs_norm:
             true_res, done = accepted(x)
             if done:
                 return x, true_res / rhs_norm, k - 1
@@ -106,7 +109,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
                 f"CG breakdown at iteration {k} on a size-{n} system: matrix is not "
                 "positive definite on the search space"
             )
-        alpha = rs / pap
+        alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
         if k % REFRESH == 0:
@@ -122,9 +125,10 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
                     f"residual {best / rhs_norm:.3e} (tol {tol}) did not decrease over "
                     f"{STALL_REFRESHES * REFRESH} iterations"
                 )
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        np.multiply(weight, r, out=z)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     true_res, done = accepted(x)
     if done:
         return x, true_res / rhs_norm, maxiter
@@ -137,7 +141,8 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
 def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
-    Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled), restricted to the
+    Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
+    B is exactly symmetric when A is, and refused otherwise), restricted to the
     D-orthogonal complement of the columns of `deflate` (which should span an
     invariant subspace, such as a nullspace).  B + s I, s = 1e-6 ||B||_inf
     added on the diagonal, is factored once by `splu`, and ARPACK's
@@ -161,9 +166,15 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     """
     n = matrix.shape[0]
     scale = 1.0 / np.sqrt(masses)
-    matrix = sp.csr_matrix(matrix)
-    data = np.repeat(scale, np.diff(matrix.indptr)) * matrix.data * scale[matrix.indices]
-    b = sp.csr_matrix((data, matrix.indices, matrix.indptr), matrix.shape).tocsc()  # B
+    matrix = sp.csr_matrix(matrix, copy=True)
+    matrix.sum_duplicates()  # canonical: sorted indices, as tocsc's are
+    row, col = np.repeat(np.arange(n), np.diff(matrix.indptr)), matrix.indices
+    data = scale[np.minimum(row, col)] * matrix.data * scale[np.maximum(row, col)]  # b_ij = b_ji
+    csr = sp.csr_matrix((data, matrix.indices, matrix.indptr), matrix.shape)
+    b = csr.tocsc()  # B, whose CSC arrays are the CSR arrays of B^T
+    pairs = zip((csr.indptr, csr.indices, csr.data), (b.indptr, b.indices, b.data))
+    if not all(np.array_equal(u, v) for u, v in pairs):
+        raise EigensolverFailure(f"the scaled size-{n} pencil is not exactly symmetric")
     if deflate is None:
         q = np.empty((n, 0))
     else:  # orthonormal in the scaled coordinates; drops dependent columns

@@ -6,9 +6,8 @@ solving the positive-definite interior block by conjugate gradients.
 
 Neumann: the load is projected once onto the range of the full singular
 system, which conjugate gradients then solve from zero with no projection in
-the loop (CG on a consistent semidefinite system stays in the range), and
-the result is shifted once along the nullspace onto the representative that
-is mass-orthogonal to it.
+the loop; one shift along the nullspace then gives the mass-orthogonal
+representative and removes any kernel component the iterate picked up.
 
 Each solve first checks well-posedness on the kept-coupling components of
 the form's graph (`analysis.nullspace`'s rule and tolerance), with no
@@ -32,6 +31,7 @@ from .assembly import _operators
 from .errors import (
     FriedrichsViolated,
     IncompatibleData,
+    NoConvergence,
     PoincareViolated,
     SingularAfterRegularization,
 )
@@ -97,6 +97,14 @@ def _spans_components(basis, labels, count, masses):
     return bool(np.all(np.sum(captured * captured, axis=1) >= 1.0 - 1e-8))
 
 
+def _cg(stage, form, matrix, rhs, tol, x0=None):
+    """`linalg.conjugate_gradient`, its NoConvergence naming the solve and n."""
+    try:
+        return linalg.conjugate_gradient(matrix, rhs, tol=tol, x0=x0)
+    except NoConvergence as exc:
+        raise NoConvergence(f"{stage} solve on {form.n} nodes: {exc}") from exc
+
+
 def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None):
     """Solve for the unique function with the prescribed boundary values whose
     energy pairing against every interior test vector matches the load.
@@ -117,9 +125,7 @@ def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None):
             "problem has no unique solution"
         )
     rhs = problem.f * form.mass_omega - form.gamma_block @ problem.g
-    x, residual, iterations = linalg.conjugate_gradient(
-        form.omega_block, rhs, tol=tol, x0=x0
-    )
+    x, residual, iterations = _cg("dirichlet", form, form.omega_block, rhs, tol, x0)
     u = np.concatenate([x, problem.g])
     return Solution(u=u, residual=residual, iterations=iterations, projected=False, kind="dirichlet")
 
@@ -154,7 +160,7 @@ def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
         rhs -= q @ (q.T @ rhs)
     if np.linalg.norm(rhs) <= b.size * np.finfo(float).eps * np.linalg.norm(b):
         rhs[:] = 0.0  # the load lies in the kernel up to the rounding of its projection
-    x, residual, iterations = linalg.conjugate_gradient(form.matrix, rhs, tol=tol)
+    x, residual, iterations = _cg("neumann", form, form.matrix, rhs, tol)
     x = x - w @ (w.T @ (form.mass_diag * x))  # mass-orthogonal representative
     return Solution(u=x, residual=residual, iterations=iterations, projected=True, kind="neumann")
 
@@ -189,7 +195,7 @@ def solve_regularized(problem, c, tol=DEFAULT_SOLVE_TOL):
     shift[:m] = c * form.mass_omega
     augmented = (form.matrix + sp.diags(shift)).tocsr()
     b = form.mass_diag * np.concatenate([problem.f, problem.g])
-    x, residual, iterations = linalg.conjugate_gradient(augmented, b, tol=tol)
+    x, residual, iterations = _cg("regularized", form, augmented, b, tol)
     return Solution(u=x, residual=residual, iterations=iterations, projected=False, kind="regularized")
 
 

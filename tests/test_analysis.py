@@ -1,6 +1,7 @@
 """Nullspace extraction, inequality constants, trace weights, principle checks."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import nlbvp
 from nlbvp import (
     AtomicMeasure,
     TransitionKernel,
@@ -386,6 +388,25 @@ def test_spectral_layer_matches_dense_on_random_graphs(form):
         assert report.constant == pytest.approx(expected[name], rel=1e-8, abs=1e-300), name
     for variant in ("full", "omega"):
         assert poincare_constant(form, basis, variant=variant).constant == reports[variant].constant
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(weighted_graphs().map(weighted_graph_form), quadrature_forms(), stencil_forms()))
+def test_kron_complement_is_exactly_symmetric(form):
+    """Entries (a, c) and (c, a) of S = A_oo - Y Y^T sum the same products in
+    the same order, so the Poincare-omega pencil passes the eigensolver's
+    exact-symmetry check whatever the masses."""
+    pencils = []
+    solve = nlbvp.linalg.smallest_eigenpairs
+
+    def capture(matrix, *args, **kwargs):
+        pencils.append(matrix)
+        return solve(matrix, *args, **kwargs)
+
+    with mock.patch.object(nlbvp.linalg, "smallest_eigenpairs", capture):
+        poincare_constant(form, nullspace(form), variant="omega")
+    (schur,) = pencils
+    assert (schur - schur.T).nnz == 0
 
 
 # -- strong Poincare check ---------------------------------------------------------

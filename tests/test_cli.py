@@ -241,6 +241,48 @@ def test_diagnose_stencil(tmp_path, capsys):
     assert len(record["trace_weight_sufficient"]) == 2
 
 
+def test_diagnose_lists_weak_boundary_nodes(tmp_path, capsys):
+    """The kernel of `test_weak_boundary_flag`: node 1 reaches the interior
+    with weight 1e-15 only, so it is a boundary node flagged as weak."""
+    data = {
+        "family": "quadrature",
+        "dimension": 1,
+        "delta": 1.0,
+        "gamma": "1e-15",
+        "nodes": [[0.0], [1.0]],
+        "omega": [0],
+    }
+    assert cli.main(["diagnose", write_doc(tmp_path, "doc.json", data)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["gamma_size"] == 1
+    assert record["weak_gamma"] == [1]
+    path = write_doc(tmp_path, "strong.json", interval_doc())
+    assert cli.main(["diagnose", path]) == 0
+    assert json.loads(capsys.readouterr().out)["weak_gamma"] == []
+
+
+def test_each_form_is_labelled_once(tmp_path, monkeypatch, capsys):
+    """`nullspace` and the solve gates share one component labelling per
+    form: a Neumann solve and a Dirichlet diagnose each run `_components`'
+    labelling (its one connected-components call) once."""
+    runs = []
+    label = nlbvp.analysis.csgraph.connected_components
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(nlbvp.analysis, "csgraph", SimpleNamespace(connected_components=counting))
+    neumann = interval_doc({"kind": "neumann", "f": "x - 0.5", "g": "0"})
+    assert cli.main(["solve", write_doc(tmp_path, "neumann.json", neumann)]) == 0
+    assert len(runs) == 1
+    capsys.readouterr()
+    dirichlet = interval_doc({"kind": "dirichlet", "f": "-1", "g": "0"})
+    assert cli.main(["diagnose", write_doc(tmp_path, "dirichlet.json", dirichlet)]) == 0
+    assert len(runs) == 2
+    assert json.loads(capsys.readouterr().out)["max_principle"] is True
+
+
 def test_diagnose_zero_kernel(tmp_path, capsys):
     data = {
         "family": "quadrature",

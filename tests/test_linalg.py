@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from nlbvp.errors import NoConvergence
+from nlbvp.errors import EigensolverFailure, NoConvergence
 from nlbvp.linalg import conjugate_gradient, smallest_eigenpairs
 
 
@@ -55,12 +55,30 @@ def test_cg_stops_when_the_residual_stagnates(rng):
     assert "tol 1e-18" in str(info.value)
 
 
+def test_cg_scales_away_a_spread_diagonal():
+    """Jacobi preconditioning solves a diagonal system whose entries span
+    1e-6 to 1 in one iteration; plain CG needs one per distinct entry."""
+    diag = np.logspace(-6.0, 0.0, 40)
+    b = np.linspace(1.0, 2.0, 40)
+    x, relres, iters = conjugate_gradient(sp.diags(diag).tocsr(), b)
+    assert iters == 1
+    assert relres <= 1e-12
+    assert_allclose(x, b / diag, rtol=1e-14)
+
+
 def test_cg_is_deterministic(rng):
     a = random_spd(25, rng)
     b = rng.standard_normal(25)
     x1, _, _ = conjugate_gradient(a, b)
     x2, _, _ = conjugate_gradient(a, b)
     assert np.array_equal(x1, x2)
+
+
+def test_smallest_eigenpairs_refuse_an_asymmetric_pencil(rng):
+    a = random_spd(20, rng).tolil()
+    a[3, 7] = a[3, 7] * (1.0 + 2.0**-52)  # one ulp off its transpose
+    with pytest.raises(EigensolverFailure, match="size-20 pencil is not exactly symmetric"):
+        smallest_eigenpairs(a.tocsr(), np.ones(20), count=1)
 
 
 def test_smallest_eigenpairs_match_dense(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -28,6 +28,7 @@ from nlbvp import (
 from nlbvp.errors import (
     FriedrichsViolated,
     IncompatibleData,
+    NoConvergence,
     PoincareViolated,
     SingularAfterRegularization,
 )
@@ -348,12 +349,25 @@ def graph_form(weights, masses, omega):
 
 
 @st.composite
+def spread_graph_forms(draw):
+    """The form of a `gated_graphs` graph whose node masses span 1e4 (log-spaced
+    over [1e-2, 1e2], in random order) and whose pair weights W_ij m_i m_j scale
+    with both masses, as a quadrature kernel's do: the form's diagonal spans
+    orders of magnitude."""
+    weights, _, omega = draw(gated_graphs())[:3]
+    n = len(weights)
+    masses = np.logspace(-2.0, 2.0, n)[draw(st.permutations(range(n)))]
+    return graph_form(weights * np.outer(masses, masses), masses, omega)
+
+
+@st.composite
 def loaded_forms(draw):
-    """The form of a `gated_graphs` graph, of a small quadrature kernel on a
-    random point set or of a stencil kernel on a random sub-lattice, with a
-    load in [-1, 1] at every node of the form."""
+    """The form of a `gated_graphs` graph (with masses in [0.5, 2] or spanning
+    1e4), of a small quadrature kernel on a random point set or of a stencil
+    kernel on a random sub-lattice, with a load in [-1, 1] at every node of the
+    form."""
     graph_forms = gated_graphs().map(lambda graph: graph_form(*graph[:3]))
-    form = draw(st.one_of(graph_forms, quadrature_forms(), stencil_forms()))
+    form = draw(st.one_of(graph_forms, spread_graph_forms(), quadrature_forms(), stencil_forms()))
     load = draw(st.lists(st.floats(-1.0, 1.0), min_size=form.n, max_size=form.n))
     return form, np.array(load)
 
@@ -410,6 +424,28 @@ def test_dirichlet_matches_dense_solve(loaded):
     bound = 10.0 * condition_number(a[:m, :m]) * TOL * np.linalg.norm(reference)
     assert np.linalg.norm(u[:m] - reference) <= bound
     assert np.array_equal(u[m:], g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded_forms())
+def test_dirichlet_solutions_obey_the_max_principle(loaded):
+    """A load f <= 0 puts no interior value above the largest boundary value."""
+    form, load = loaded
+    m = form.domain.m
+    assume(form.domain.l > 0)
+    problem = DirichletProblem(form, -np.abs(load[:m]), load[m:])
+    try:
+        u = solve_dirichlet(problem, tol=TOL).u
+    except FriedrichsViolated:
+        assume(False)
+    assert max_principle_check(u, form, form.domain)
+
+
+def test_dirichlet_no_convergence_names_the_solve(rng):
+    grid, form = square_setup(1.0 / 8.0)
+    problem = DirichletProblem(form, rng.standard_normal(grid.m), rng.standard_normal(grid.l))
+    with pytest.raises(NoConvergence, match=rf"^dirichlet solve on {form.n} nodes: CG stagnated .* size-{grid.m} system"):
+        solve_dirichlet(problem, tol=1e-18)
 
 
 # -- strong residuals --------------------------------------------------------------
