@@ -58,7 +58,7 @@ class AssembledForm:
     domain: object
     measure: object
     symmetry_defect: float
-    components: tuple | None = field(default=None, repr=False)
+    components: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):

@@ -272,7 +272,7 @@ def test_each_form_is_labelled_once(tmp_path, monkeypatch, capsys):
         runs.append(args)
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(nlbvp.analysis, "csgraph", SimpleNamespace(connected_components=counting))
+    monkeypatch.setattr(nlbvp.analysis.csgraph, "connected_components", counting)
     neumann = interval_doc({"kind": "neumann", "f": "x - 0.5", "g": "0"})
     assert cli.main(["solve", write_doc(tmp_path, "neumann.json", neumann)]) == 0
     assert len(runs) == 1

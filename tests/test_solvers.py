@@ -429,7 +429,8 @@ def test_dirichlet_matches_dense_solve(loaded):
 @settings(max_examples=300, deadline=None)
 @given(loaded_forms())
 def test_dirichlet_solutions_obey_the_max_principle(loaded):
-    """A load f <= 0 puts no interior value above the largest boundary value."""
+    """A load f <= 0 puts no interior value above the largest boundary value,
+    up to the error CG's relative-residual stop allows: kappa * TOL * ||u||."""
     form, load = loaded
     m = form.domain.m
     assume(form.domain.l > 0)
@@ -438,7 +439,9 @@ def test_dirichlet_solutions_obey_the_max_principle(loaded):
         u = solve_dirichlet(problem, tol=TOL).u
     except FriedrichsViolated:
         assume(False)
-    assert max_principle_check(u, form, form.domain)
+    kappa = condition_number(form.matrix.toarray()[:m, :m])
+    slack = 10.0 * kappa * TOL * max(1.0, np.linalg.norm(u[:m]))
+    assert np.max(u[:m]) <= np.max(u[m:]) + slack
 
 
 def test_dirichlet_no_convergence_names_the_solve(rng):
