@@ -27,6 +27,7 @@ from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import EmptyGamma, NonPositiveC
+from .measure import WEAK_BOUNDARY_THRESHOLD
 
 NULLSPACE_TOL_FACTOR = 1e-9  # default eigenvalue threshold: factor * largest diagonal
 MAX_PRINCIPLE_TOL = 1e-12
@@ -87,16 +88,18 @@ class FunctionalCheck:
     passes: bool = True
 
 
-def _scaled_diag_max(matrix, masses):
+def _gap_tol(matrix, masses):
+    """Gap tolerance of the pencil (matrix, masses): NULLSPACE_TOL_FACTOR times
+    its largest mass-scaled diagonal entry, that entry taken as at least 1e-300."""
     diag = matrix.diagonal()
-    return float(np.max(diag / masses)) if diag.size else 0.0
+    return NULLSPACE_TOL_FACTOR * max(float(np.max(diag / masses)) if diag.size else 0.0, 1e-300)
 
 
 def _components(form, tol=None):
     """Components of the form's coupling graph after weak couplings are dropped
     (see `nullspace`), as (tol, count, labels), kept on the form at the default tol."""
     n = form.n
-    default = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.matrix, form.mass_diag), 1e-300)
+    default = _gap_tol(form.matrix, form.mass_diag)
     if (tol is None or tol == default) and form.components is not None:
         return form.components
     tol = default if tol is None else tol
@@ -174,11 +177,10 @@ def friedrichs_constant(form):
     (omega_block, interior masses).
     """
     m = form.domain.m
-    tol = NULLSPACE_TOL_FACTOR * max(_scaled_diag_max(form.omega_block, form.mass_omega), 1e-300)
     lam, vec = linalg.smallest_eigenpairs(form.omega_block, form.mass_omega, count=1)
     witness = np.zeros(form.n)
     witness[:m] = vec[:, 0]
-    return _gap_report(lam, witness, tol)
+    return _gap_report(lam, witness, _gap_tol(form.omega_block, form.mass_omega))
 
 
 def _gap_report(lam, witness, tolerance):
@@ -307,7 +309,7 @@ def continuous_functional_check(g, weight, measure):
     return FunctionalCheck(
         weighted_sum=weighted_sum,
         min_weight=min_weight,
-        ill_conditioned=bool(min_weight < 1e-12),
+        ill_conditioned=bool(min_weight < WEAK_BOUNDARY_THRESHOLD),
     )
 
 

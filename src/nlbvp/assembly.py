@@ -141,22 +141,26 @@ def _operators(kernel, domain, u, nodes):
     return np.bincount(x, weights=w * (u[x] - u[y]), minlength=domain.n)
 
 
+def _operator_at(kernel, domain, u, node, block, error, region):
+    """The operator at one node, whose local index must lie in `block`."""
+    node = int(node)
+    p = int(domain._pos[node]) if 0 <= node < len(domain._pos) else -1
+    if p not in block:
+        raise error(f"node {node} is not {region} node")
+    return float(_operators(kernel, domain, u, [node])[p])
+
+
 def apply_L(kernel, domain, u, node):
     """Pointwise nonlocal operator at an interior node:
     sum_y K(x,{y}) (u(x) - u(y)) over the support of x."""
-    node = int(node)
-    if not domain.is_omega(node):
-        raise NodeNotInOmega(f"node {node} is not an interior node")
-    return float(_operators(kernel, domain, u, [node])[domain.position(node)])
+    return _operator_at(kernel, domain, u, node, range(domain.m), NodeNotInOmega, "an interior")
 
 
 def apply_N(kernel, domain, u, node):
     """Nonlocal Neumann operator at a boundary node:
     sum_{x in Omega} K(y,{x}) (u(y) - u(x))."""
-    node = int(node)
-    if not domain.is_gamma(node):
-        raise NodeNotInGamma(f"node {node} is not a boundary node")
-    return float(_operators(kernel, domain, u, [node])[domain.position(node)])
+    gamma = range(domain.m, domain.n)
+    return _operator_at(kernel, domain, u, node, gamma, NodeNotInGamma, "a boundary")
 
 
 def ibp_residual(form, kernel, measure, domain, u, v):

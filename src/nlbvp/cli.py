@@ -120,11 +120,7 @@ def cmd_diagnose(args):
         record["trace_weight_sufficient"] = [float(v) for v in weight.values]
         necessary = analysis.trace_weight(doc.kernel, doc.domain, variant="necessary", c=1.0)
         record["trace_weight_necessary_c1"] = [float(v) for v in necessary.values]
-    payload = json.dumps(
-        {k: (fileio.json_value(v) if not isinstance(v, list) else v) for k, v in record.items()},
-        indent=2,
-    )
-    _emit(payload + "\n", args.out)
+    _emit(fileio.write_json(record) + "\n", args.out)
     return 0
 
 
@@ -195,15 +191,11 @@ def cmd_bench(args):
         row, grid, solution = _bench_one(args.d, h, args.exact)
         rows.append(row)
         if args.plot_prefix:
-            fileio.write_solution_table(
-                solution, grid.domain, grid.measure, f"{args.plot_prefix}_h{h:.6g}.tsv"
-            )
-    for i in range(1, len(rows)):
-        prev, cur = rows[i - 1]["max_error"], rows[i]["max_error"]
-        if prev > 0 and cur > 0:
-            rows[i]["order"] = float(np.log2(prev / cur))
-    text = fileio.write_bench_report(rows)
-    _emit(text, args.out)
+            table = fileio.write_solution_table(solution, grid.domain, grid.measure)
+            _emit(table, f"{args.plot_prefix}_h{h:.6g}.tsv")
+    for prev, cur in zip(rows, rows[1:]):
+        cur["order"] = poisson._order(prev["max_error"], cur["max_error"])
+    _emit(fileio.write_bench_report(rows), args.out)
     return 0
 
 
@@ -244,14 +236,12 @@ def main(argv=None):
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except IncompatibleData as exc:
+    except (NlbvpError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (FriedrichsViolated, PoincareViolated, SingularAfterRegularization) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (DocumentError, NlbvpError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, IncompatibleData):
+            return 2
+        if isinstance(exc, (FriedrichsViolated, PoincareViolated, SingularAfterRegularization)):
+            return 3
         return 1
 
 

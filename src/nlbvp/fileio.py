@@ -59,25 +59,14 @@ def fmt(x):
 
 
 def json_value(x):
-    if x is None:
-        return None
-    if isinstance(x, (bool, str, int)):
+    if x is None or isinstance(x, (bool, str, int, list)):
         return x
     x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
+    return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
 
 
-def write_json(record, path=None):
-    payload = json.dumps({k: json_value(v) for k, v in record.items()}, indent=2)
-    if path is None:
-        return payload
-    with open(path, "w") as handle:
-        handle.write(payload + "\n")
-    return payload
+def write_json(record):
+    return json.dumps({k: json_value(v) for k, v in record.items()}, indent=2)
 
 
 def _quote(text):
@@ -172,7 +161,7 @@ def radial_density(expr):
 
 # -- solution tables -----------------------------------------------------------
 
-def write_solution_table(solution, domain, measure, path=None):
+def write_solution_table(solution, domain, measure):
     """Per-node table: index, coordinates, region, value (tab-separated),
     every number as `fmt` writes it (one %-format per row)."""
     u = solution.u if hasattr(solution, "u") else solution
@@ -182,11 +171,7 @@ def write_solution_table(solution, domain, measure, path=None):
     rows = zip(domain.order.tolist(), points.tolist(), regions, np.asarray(u, dtype=float).tolist())
     lines = ["# node\tcoords\tregion\tvalue"]
     lines += [row % (node, *coords, region, value) for node, coords, region, value in rows]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def read_solution_table(path):
@@ -222,7 +207,7 @@ def write_matrix_coo(matrix, path):
             handle.write(f"{i}\t{j}\t{fmt(v)}\n")
 
 
-def write_bench_report(rows, path=None):
+def write_bench_report(rows):
     """Benchmark table: h, m, l, max_error, order, friedrichs_C, poincare_C, runtime_ms."""
     reals = ("max_error", "order", "friedrichs_C", "poincare_C", "runtime_ms")
     lines = ["# h\tm\tl\tmax_error\torder\tfriedrichs_C\tpoincare_C\truntime_ms"]
@@ -230,11 +215,7 @@ def write_bench_report(rows, path=None):
         "\t".join([fmt(row["h"]), str(row["m"]), str(row["l"])] + [fmt(row[key]) for key in reals])
         for row in rows
     ]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as handle:
-            handle.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 # -- problem documents ---------------------------------------------------------

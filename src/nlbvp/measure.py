@@ -282,26 +282,11 @@ class NonlocalDomain:
         return np.concatenate([self.omega, self.gamma])
 
     def position(self, node):
-        """Local index of a node in the canonical ordering."""
-        p = self.local(node)
-        if p is None:
-            raise KeyError(int(node))
-        return p
-
-    def local(self, node):
-        """Local index, or None for exterior nodes."""
+        """Local index of a node in the canonical ordering; KeyError if exterior."""
         node = int(node)
         if not 0 <= node < len(self._pos) or self._pos[node] < 0:
-            return None
+            raise KeyError(node)
         return int(self._pos[node])
-
-    def is_omega(self, node):
-        p = self.local(node)
-        return p is not None and p < self.m
-
-    def is_gamma(self, node):
-        p = self.local(node)
-        return p is not None and p >= self.m
 
 
 def nonlocal_boundary(kernel, omega, measure):

@@ -164,6 +164,11 @@ def manufactured_solve(grid, form, exact_u, exact_f):
     return float(np.max(np.abs(solution.u[: grid.m] - reference))), solution
 
 
+def _order(prev_error, error):
+    """Observed order log2(prev_error / error); nan unless both are positive."""
+    return float(np.log2(prev_error / error)) if prev_error > 0 and error > 0 else float("nan")
+
+
 def convergence_study(d, exact_u, exact_f, h_list):
     """Dirichlet solves against a manufactured solution over decreasing steps.
 
@@ -176,13 +181,12 @@ def convergence_study(d, exact_u, exact_f, h_list):
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ValueError("h_list must be strictly decreasing")
     rows = []
-    prev_error = None
+    prev_error = float("nan")
     for h in h_list:
         grid = unit_cube_grid(d, h)
         form = assemble_form(grid.kernel, grid.measure, grid.domain)
         error, _ = manufactured_solve(grid, form, exact_u, exact_f)
-        order = math.log2(prev_error / error) if prev_error is not None and error > 0 else float("nan")
-        rows.append(StudyRow(h=h, max_error=error, order=order))
+        rows.append(StudyRow(h=h, max_error=error, order=_order(prev_error, error)))
         prev_error = error
     return rows
 
@@ -272,6 +276,4 @@ def graph_bvp_demo(edges, omega_vertices, f, tol=1e-12):
     gap = abs(rows - sp.diags(rows.diagonal(), shape=rows.shape) + conductance)
     if (gap > 1e-12).multiply(gap > 1e-12 * conductance).nnz:
         raise AssertionError("assembled off-diagonal differs from the conductance")
-    f = np.asarray(f, dtype=float)
-    problem = DirichletProblem(form, f, np.zeros(domain.l))
-    return solve_dirichlet(problem, tol=tol)
+    return solve_dirichlet(DirichletProblem(form, f, np.zeros(domain.l)), tol=tol)

@@ -41,10 +41,10 @@ COMPAT_TOL_FACTOR = 1e-9
 
 
 @dataclass
-class DirichletProblem:
+class _Problem:
     form: object
     f: np.ndarray  # interior load, length m
-    g: np.ndarray  # boundary trace, length l
+    g: np.ndarray  # boundary data, length l
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)
@@ -54,18 +54,12 @@ class DirichletProblem:
             raise ValueError("f and g lengths must match the interior/boundary blocks")
 
 
-@dataclass
-class NeumannProblem:
-    form: object
-    f: np.ndarray  # interior load, length m
-    g: np.ndarray  # boundary flux data, length l
+class DirichletProblem(_Problem):
+    """Interior load f and boundary trace g."""
 
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
-        domain = self.form.domain
-        if self.f.shape != (domain.m,) or self.g.shape != (domain.l,):
-            raise ValueError("f and g lengths must match the interior/boundary blocks")
+
+class NeumannProblem(_Problem):
+    """Interior load f and boundary flux data g."""
 
 
 @dataclass

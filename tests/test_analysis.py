@@ -560,3 +560,18 @@ def test_energy_invariant_under_kernel_shift(rng):
         assert bilinear(form, shifted, shifted) == pytest.approx(
             bilinear(form, u, u), rel=1e-10
         )
+
+
+@pytest.mark.parametrize("reach, weak", [(1e-13, False), (1e-15, True)])
+def test_trace_weight_flag_agrees_with_weak_gamma(reach, weak):
+    """One threshold decides a near-zero trace weight: node 1 reaches the
+    interior with weight `reach` only, and `weak_gamma` and
+    `continuous_functional_check` give it the same verdict."""
+    kernel = TransitionKernel([[(1, reach)], [(0, reach)]], "quadrature")
+    measure = AtomicMeasure([[0.0], [1.0]])
+    domain = nonlocal_boundary(kernel, [0], measure)
+    weight = trace_weight(kernel, domain, variant="sufficient")
+    record = continuous_functional_check(np.ones(1), weight, measure)
+    assert record.min_weight == reach
+    assert record.ill_conditioned is weak
+    assert (list(domain.weak_gamma) == [1]) is weak

@@ -1,5 +1,7 @@
 """Command-line contract: documents, exit codes, outputs, round-trips."""
 
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -631,3 +633,147 @@ def test_cli_import_leaves_scipy_spatial_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# -- the exit-code contract on generated documents -------------------------------------
+
+
+@st.composite
+def exit_code_documents(draw, family, kind):
+    """A small document of the family with a problem block of the kind, and
+    the exit code it must produce, worked out from its node couplings alone.
+
+    The coupling graph links two nodes when the kernel weights them and one
+    of them is interior.  Its components decide the code: 3 for a Dirichlet
+    problem with an interior component that holds no boundary node, or a
+    regularized one whose c leaves a component without a positive value; 2
+    for a flux load (Neumann, or regularized with c = 0) that pairs with a
+    component indicator; 1 for a non-finite number or an unknown kind; else
+    0.  Weights and masses lie in [0.5, 2], far above the weak-coupling
+    tolerance, so the graph is the library's kept-coupling graph."""
+    unit = st.floats(0.5, 2.0)
+    if family == "graph":  # one random tree per block of vertices: none is isolated
+        links, n = [], 0
+        for size in draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)):
+            links += [(n + draw(st.integers(0, v - 1)), n + v) for v in range(1, size)]
+            n += size
+        edges = [[a, b, draw(unit)] for a, b in links]
+        masses = np.zeros(n)
+        for a, b, conductance in edges:
+            masses[a] += conductance
+            masses[b] += conductance
+        data = {"family": "graph", "edges": edges}
+    else:
+        cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        cells = draw(st.lists(cell, min_size=2, max_size=9, unique=True))
+        n = len(cells)
+        reach = 1 if family == "stencil" else 2  # squared lattice distance of a coupling
+        links = [
+            (a, b) for a in range(n) for b in range(a + 1, n)
+            if (cells[a][0] - cells[b][0]) ** 2 + (cells[a][1] - cells[b][1]) ** 2 <= reach
+        ]
+        coords = [[0.25 * x, 0.25 * y] for x, y in cells]
+        if family == "stencil":
+            masses = np.ones(n)
+            data = {"family": "stencil", "dimension": 2, "h": 0.25, "nodes": coords}
+        else:
+            masses = np.array([draw(unit) for _ in range(n)])
+            data = {
+                "family": "quadrature", "dimension": 2, "delta": 0.375,
+                "gamma": draw(st.sampled_from(["1", "exp(-r)"])),
+                "nodes": [xy + [mass] for xy, mass in zip(coords, masses.tolist())],
+            }
+    omega = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    interior = np.zeros(n, dtype=bool)
+    interior[omega] = True
+    coupled = [(a, b) for a, b in links if interior[a] or interior[b]]
+    gamma = sorted({node for pair in coupled for node in pair} - set(omega))
+    label = list(range(n))  # union-find over the coupled pairs
+
+    def root(node):
+        while label[node] != node:
+            node = label[node]
+        return node
+
+    for a, b in coupled:
+        label[root(a)] = root(b)
+    roots = np.array([root(node) for node in range(n)])
+    # values with zero mass-weighted mean on every component: a compatible load
+    values = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(n)])
+    nodes = np.array(omega + gamma)
+    for r in set(roots[nodes].tolist()):
+        part = nodes[roots[nodes] == r]
+        values[part] -= values[part] @ masses[part] / masses[part].sum()
+    offset = draw(st.booleans())
+    problem = {"kind": kind, "f": (values[omega] + offset).tolist(), "g": values[gamma].tolist()}
+    if kind == "dirichlet":
+        stranded = set(roots[omega].tolist()) - set(roots[gamma].tolist())
+        expected = 3 if stranded else 0
+    elif kind == "neumann":
+        expected = 2 if offset else 0
+    else:
+        c = np.array([draw(st.sampled_from([2.0, 0.5, 0.0])) for _ in omega])
+        if draw(st.booleans()):  # no term on the first interior node's component
+            c[roots[omega] == roots[omega[0]]] = 0.0
+        problem["c"] = c.tolist()
+        if c.any():
+            uncovered = set(roots[nodes].tolist()) - set(roots[omega][c > 0].tolist())
+            expected = 3 if uncovered else 0
+        else:  # with c = 0 the regularized solve is the Neumann solve
+            expected = 2 if offset else 0
+    data.update(omega=omega, problem=problem)
+    corrupt = draw(st.sampled_from([None, None, None, "kind", "f", "tol", "parameter"]))
+    if corrupt is not None:
+        expected = 1
+    if corrupt == "kind":
+        problem["kind"] = "robin"
+    elif corrupt == "f":
+        problem["f"][0] = math.nan
+    elif corrupt == "tol":
+        data["tol"] = math.inf
+    elif corrupt == "parameter":
+        if family == "graph":
+            data["edges"][0][2] = math.nan
+        else:
+            data["h" if family == "stencil" else "delta"] = math.inf
+    return data, expected
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "regularized"])
+@pytest.mark.parametrize("family", ["stencil", "graph", "quadrature"])
+def test_exit_codes_on_generated_documents(tmp_path_factory, family, kind):
+    @settings(max_examples=40, deadline=None)
+    @given(exit_code_documents(family, kind))
+    def check(case):
+        data, expected = case
+        workdir = tmp_path_factory.mktemp("exit")
+        path = write_doc(workdir, "doc.json", data)
+        assert cli.main(["solve", path, "--out", str(workdir / "out.tsv")]) == expected
+
+    check()
+
+
+def test_traced_bench_wrappers_resolve_and_come_off():
+    """`bench/tracing.py` rebinds the library functions its TABLE names: every
+    entry must still resolve, be wrapped inside `instrument` and be restored
+    after it, so a renamed or removed function cannot silently break a traced
+    bench run."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def bindings():
+        found = []
+        for module_name, attr, _ in tracing.TABLE:
+            owner = importlib.import_module(module_name)
+            for name in attr.split("."):
+                owner = getattr(owner, name)
+            found.append(owner)
+        return found
+
+    before = bindings()
+    with tracing.instrument(tracing.Tracer()):
+        during = bindings()
+    assert all(now is not then for now, then in zip(during, before))
+    assert all(now is then for now, then in zip(bindings(), before))

@@ -24,7 +24,9 @@ from nlbvp import (
     unit_cube_grid,
     v_norm_sq,
 )
+from nlbvp import cli
 from nlbvp.errors import BadStep, HypothesisViolated
+from nlbvp.fileio import fmt
 from nlbvp.poisson import manufactured_solve
 
 from conftest import interval_setup, square_setup
@@ -380,3 +382,18 @@ def test_graph_demo_star():
 def test_graph_demo_rejects_disconnected():
     with pytest.raises(ValueError, match="connected"):
         graph_bvp_demo([(0, 1, 1.0), (2, 3, 1.0)], [1], np.array([1.0]))
+
+
+@pytest.mark.parametrize("d, exact, steps", [(1, "quadratic", "1/2,1/3"), (2, "sine", "1/4,1/8")])
+def test_study_orders_match_the_bench_column(capsys, d, exact, steps):
+    """`convergence_study` and `nlbvp bench` share one order rule.  With the
+    quadratic at h = 1/2, 1/3 the first error is exactly 0 and the second is
+    rounding: the order is nan in both, where a bare log2 has no value."""
+    h_list = [cli._parse_step(step) for step in steps.split(",")]
+    rows = convergence_study(d, *cli._manufactured(d, exact), h_list)
+    assert cli.main(["bench", "--d", str(d), "--h", steps, "--exact", exact]) == 0
+    table = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split("\t")[3] for line in table] == [fmt(row.max_error) for row in rows]
+    assert [line.split("\t")[4] for line in table] == [fmt(row.order) for row in rows]
+    if exact == "quadratic":
+        assert rows[0].max_error == 0.0 and np.isnan(rows[1].order)
