@@ -169,18 +169,24 @@ def project_out_kernel(u, basis, measure):
     return u - basis.vectors @ coeff
 
 
-def friedrichs_constant(form):
+def friedrichs_constant(form, return_inverse=False):
     """Best constant in ||u||^2_{L2(Omega)} <= C B(u, u) over functions
     vanishing on the boundary; +inf when the interior block is singular.
 
     Computed from the smallest eigenvalue of the interior-block pencil
-    (omega_block, interior masses).
+    (omega_block, interior masses).  With `return_inverse` the report comes
+    with the eigensolve's factorization as the solve of the shifted block
+    A_oo + s M_o (see `linalg.smallest_eigenpairs`), None when there is none:
+    a preconditioner for the Dirichlet system.
     """
     m = form.domain.m
-    lam, vec = linalg.smallest_eigenpairs(form.omega_block, form.mass_omega, count=1)
+    lam, vec, inverse = linalg.smallest_eigenpairs(
+        form.omega_block, form.mass_omega, count=1, return_inverse=True
+    )
     witness = np.zeros(form.n)
     witness[:m] = vec[:, 0]
-    return _gap_report(lam, witness, _gap_tol(form.omega_block, form.mass_omega))
+    report = _gap_report(lam, witness, _gap_tol(form.omega_block, form.mass_omega))
+    return (report, inverse) if return_inverse else report
 
 
 def _gap_report(lam, witness, tolerance):

@@ -68,13 +68,14 @@ class AssembledForm:
 def assemble_form(kernel, measure, domain):
     """Assemble the energy form over the domain's interior/boundary ordering.
 
-    Refuses kernels whose symmetry defect exceeds ASSEMBLY_SYMMETRY_TOL.
+    Refuses kernels whose symmetry defect exceeds ASSEMBLY_SYMMETRY_TOL or is
+    NaN (mass-weighted weights that overflow).
     Interior-interior pair coefficients average the two ordered kernel
     weights, which reproduces them exactly for symmetric kernels and keeps
     the matrix symmetric entry-wise for near-symmetric ones.
     """
     defect = symmetry_defect(kernel, measure)
-    if defect > ASSEMBLY_SYMMETRY_TOL:
+    if not defect <= ASSEMBLY_SYMMETRY_TOL:
         raise AsymmetricKernel(
             f"kernel symmetry defect {defect:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}"
         )

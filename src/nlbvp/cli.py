@@ -94,16 +94,20 @@ def cmd_diagnose(args):
     doc = fileio.load_document(args.document)
     form = assemble_form(doc.kernel, doc.measure, doc.domain)
     basis = analysis.nullspace(form)
-    friedrichs = analysis.friedrichs_constant(form)
-    poincare_full = analysis.poincare_constant(form, basis, variant="full")
-    poincare_omega = analysis.poincare_constant(form, basis, variant="omega")
+    # the Friedrichs factorization of A_oo + s M_o preconditions the Dirichlet
+    # solve, then goes before the Poincare pencils are factored
+    friedrichs, shifted_inverse = analysis.friedrichs_constant(form, return_inverse=True)
     compat = None
     principle = None
     if doc.kind is not None:
         compat = analysis.compatibility_defect(doc.f, doc.g, basis, doc.measure)
         if doc.kind == "dirichlet" and np.isfinite(friedrichs.constant) and doc.domain.l:
-            solution = solve_dirichlet(DirichletProblem(form, doc.f, doc.g), tol=doc.tol)
+            problem = DirichletProblem(form, doc.f, doc.g)
+            solution = solve_dirichlet(problem, tol=doc.tol, preconditioner=shifted_inverse)
             principle = analysis.max_principle_check(solution.u, form, doc.domain)
+    del shifted_inverse
+    poincare_full = analysis.poincare_constant(form, basis, variant="full")
+    poincare_omega = analysis.poincare_constant(form, basis, variant="omega")
     record = {
         "symmetry_defect": form.symmetry_defect,
         "gamma_size": doc.domain.l,

@@ -2,15 +2,18 @@
 
 Two workhorses live here:
 
-* a Jacobi-preconditioned conjugate-gradient loop for symmetric positive
+* a preconditioned conjugate-gradient loop for symmetric positive
   (semi-)definite systems, stopped on the unpreconditioned residual; on a
   consistent singular system a kernel component the iterate picks up is
-  removed by the caller's final mass-orthogonal shift;
+  removed by the caller's final mass-orthogonal shift.  The preconditioner
+  is the matrix's own diagonal (Jacobi) unless the caller passes one, such
+  as the shifted factor an eigensolve leaves behind;
 * the package's one eigensolver, for the smallest eigenpairs of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization per call of the pencil, scaled and shifted on
   its CSR arrays, for ARPACK's shift-invert Lanczos, deflated against a
-  given subspace.
+  given subspace.  On request the factorization is handed back as the
+  solve of the shifted pencil A + s D, a preconditioner for A.
   The Lanczos basis holds 2 count + 4 vectors and stops once every Ritz
   residual is at most EIGEN_TOL relative to its Ritz value: for a symmetric
   pencil the Ritz value's error is bounded by residual^2 / gap (Kato-Temple),
@@ -38,8 +41,8 @@ STALL_REFRESHES = 4
 EIGEN_TOL = 1e-10
 
 
-def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
-    """Solve matrix @ x = rhs by Jacobi-preconditioned CG, stopping on rhs - matrix x.
+def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditioner=None):
+    """Solve matrix @ x = rhs by preconditioned CG, stopping on rhs - matrix x.
 
     Parameters
     ----------
@@ -57,6 +60,12 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
         Iteration cap, default max(1000, 10 n).  The loop also stops when
         the true residual, recomputed every REFRESH iterations, has not
         decreased over STALL_REFRESHES refreshes in a row.
+    preconditioner : callable, optional
+        z = preconditioner(r), a symmetric positive definite approximation of
+        matrix^{-1} applied to r.  By default z = D^{-1} r with D the
+        diagonal of the matrix (weight 1 on a zero diagonal entry), written
+        in place.  Every stopping rule reads the unpreconditioned residual
+        whichever preconditioner runs.
 
     Returns
     -------
@@ -85,10 +94,16 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
         floor = tol * (matrix_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
         return true_res, bool(np.max(np.abs(residual)) <= floor)
 
-    diag = matrix.diagonal()
-    weight = 1.0 / np.where(diag == 0.0, 1.0, diag)  # z = D^{-1} r; weight 1 on a zero diagonal
+    if preconditioner is None:
+        diag = matrix.diagonal()
+        weight = 1.0 / np.where(diag == 0.0, 1.0, diag)  # z = D^{-1} r; weight 1 on a zero diagonal
+        buffer = np.empty(n)
+
+        def preconditioner(r):
+            return np.multiply(weight, r, out=buffer)
+
     r = rhs - matrix @ x
-    z = weight * r
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
     best, stalls = np.inf, 0
@@ -125,7 +140,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
                     f"residual {best / rhs_norm:.3e} (tol {tol}) did not decrease over "
                     f"{STALL_REFRESHES * REFRESH} iterations"
                 )
-        np.multiply(weight, r, out=z)
+        z = preconditioner(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -138,7 +153,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None):
     )
 
 
-def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
+def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=False):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
     Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
@@ -159,9 +174,13 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
     Rayleigh quotient v^T A v / v^T D v of its vector, one sparse product for
     all of them.
 
+    With `return_inverse` the factorization outlives the call as a third
+    value, the function r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r
+    (no deflation applied), or None when the dense path answered.
+
     Returns
     -------
-    (eigenvalues, vectors)
+    (eigenvalues, vectors) or (eigenvalues, vectors, inverse)
         Eigenvalues ascending; vectors D-orthonormal, one column each.
     """
     n = matrix.shape[0]
@@ -185,6 +204,7 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
         complement = scipy.linalg.null_space(q.T)
         values, vectors = scipy.linalg.eigh(complement.T @ (b @ complement))
         values, vectors = values[:count], complement @ vectors[:, :count]
+        shifted_inverse = None
     else:
         filled = np.flatnonzero(np.diff(matrix.indptr))  # ||B||_inf: the largest row sum of |B|
         shift = 1e-6 * np.add.reduceat(np.abs(data), matrix.indptr[filled]).max(initial=0.0) + 1e-30
@@ -210,8 +230,14 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None):
                 f"shift-invert Lanczos failed on {count} eigenpairs of a size-{n} pencil: {exc}"
             ) from exc
         vectors = vectors[:, np.argsort(values)]
+
+        def shifted_inverse(r):
+            return scale * factor.solve(scale * r)
+
     vectors = vectors * scale[:, None]
     # each vector's Rayleigh quotient, free of the back-transform's error
     energy = np.sum(vectors * (matrix @ vectors), axis=0)
     values = energy / np.sum(vectors**2 * masses[:, None], axis=0)
+    if return_inverse:
+        return values, vectors, shifted_inverse
     return values, vectors

@@ -205,7 +205,8 @@ class TransitionKernel:
 
     `matrix[x, y]` is K(x, {y}).  `support` is either that matrix (any scipy
     sparse format) or, per node, a list of (target, weight) pairs; repeated
-    targets are summed.  Weights are non-negative and never on the diagonal.
+    targets are summed.  Weights are finite, non-negative and never on the
+    diagonal.
     """
 
     def __init__(self, support, family, params=None):
@@ -221,10 +222,16 @@ class TransitionKernel:
         self.family = family
         self.params = dict(params or {})
         rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        bad = np.flatnonzero((matrix.data < 0.0) | (matrix.indices == rows))
+        finite = np.isfinite(matrix.data)
+        bad = np.flatnonzero(~finite | (matrix.data < 0.0) | (matrix.indices == rows))
         if bad.size:
-            kind = "negative kernel weight" if matrix.data[bad[0]] < 0.0 else "diagonal kernel atom"
-            raise ValueError(f"{kind} at node {rows[bad[0]]}")
+            k = bad[0]
+            kind = (
+                "non-finite kernel weight" if not finite[k]
+                else "negative kernel weight" if matrix.data[k] < 0.0
+                else "diagonal kernel atom"
+            )
+            raise ValueError(f"{kind} at node {rows[k]}")
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -462,8 +469,10 @@ def quadrature_kernel(gamma, delta, measure):
         raise AsymmetricDensity(
             f"gamma({i[k]}, {j[k]}) = {float(g_ij[k])} but gamma({j[k]}, {i[k]}) = {float(g_ji[k])}"
         )
-    # K(x, {y}) = gamma(x, y) mass(y); each row's columns come out ascending
-    weights = np.r_[g_ji * measure.masses[i], g_ij * measure.masses[j]]
+    # K(x, {y}) = gamma(x, y) mass(y); each row's columns come out ascending.
+    # A product that overflows is refused by TransitionKernel as non-finite.
+    with np.errstate(over="ignore"):
+        weights = np.r_[g_ji * measure.masses[i], g_ij * measure.masses[j]]
     matrix = sp.csr_matrix((weights, (np.r_[j, i], np.r_[i, j])), shape=(len(pts),) * 2)
     matrix.eliminate_zeros()  # a weight that is exactly zero is no atom
     return TransitionKernel(matrix, "quadrature", {"delta": delta})

@@ -91,17 +91,21 @@ def _spans_components(basis, labels, count, masses):
     return bool(np.all(np.sum(captured * captured, axis=1) >= 1.0 - 1e-8))
 
 
-def _cg(stage, form, matrix, rhs, tol, x0=None):
+def _cg(stage, form, matrix, rhs, tol, x0=None, preconditioner=None):
     """`linalg.conjugate_gradient`, its NoConvergence naming the solve and n."""
     try:
-        return linalg.conjugate_gradient(matrix, rhs, tol=tol, x0=x0)
+        return linalg.conjugate_gradient(matrix, rhs, tol=tol, x0=x0, preconditioner=preconditioner)
     except NoConvergence as exc:
         raise NoConvergence(f"{stage} solve on {form.n} nodes: {exc}") from exc
 
 
-def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None):
+def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None, preconditioner=None):
     """Solve for the unique function with the prescribed boundary values whose
     energy pairing against every interior test vector matches the load.
+
+    CG on the interior block is Jacobi-preconditioned unless `preconditioner`
+    (r -> z, see `linalg.conjugate_gradient`) is given, such as the shifted
+    block's solve that `analysis.friedrichs_constant` returns on request.
 
     Raises FriedrichsViolated when the interior block is singular, that is,
     when some component holds an interior node but no boundary node (every
@@ -119,7 +123,7 @@ def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None):
             "problem has no unique solution"
         )
     rhs = problem.f * form.mass_omega - form.gamma_block @ problem.g
-    x, residual, iterations = _cg("dirichlet", form, form.omega_block, rhs, tol, x0)
+    x, residual, iterations = _cg("dirichlet", form, form.omega_block, rhs, tol, x0, preconditioner)
     u = np.concatenate([x, problem.g])
     return Solution(u=u, residual=residual, iterations=iterations, projected=False, kind="dirichlet")
 

@@ -96,6 +96,17 @@ def test_assembly_rejects_asymmetric_kernel():
         assemble_form(kernel, measure, domain)
 
 
+def test_assembly_rejects_a_nan_symmetry_defect():
+    """Weights of 1e300 against masses of 1e10 overflow W = diag(m) K to inf
+    on both sides of every pair, so the defect is inf - inf = NaN: refused,
+    not passed as zero."""
+    measure = AtomicMeasure([[0.0], [1.0], [2.0]], np.full(3, 1e10))
+    kernel = TransitionKernel([[(1, 1e300)], [(0, 1e300), (2, 1e300)], [(1, 1e300)]], "quadrature")
+    domain = nonlocal_boundary(kernel, [1], measure)
+    with np.errstate(over="ignore"), pytest.raises(AsymmetricKernel, match="defect nan"):
+        assemble_form(kernel, measure, domain)
+
+
 def test_bilinear_annihilates_constants():
     _, _, _, form = three_node_setup()
     ones = np.ones(3)

@@ -126,6 +126,33 @@ def test_nonfinite_document_numbers_exit_1_before_any_solve(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+OVERFLOWING_WEIGHTS = {
+    # density 1e308 times mass 2 overflows to an infinite kernel weight
+    "quadrature": {
+        "family": "quadrature", "dimension": 1, "delta": 0.3, "gamma": "1e308",
+        "nodes": [[0.0, 2.0], [0.25, 2.0], [0.5, 2.0]], "omega": [1],
+    },
+    # 1 / h^2 overflows to inf
+    "stencil": {
+        "family": "stencil", "dimension": 1, "h": 1e-160,
+        "nodes": [[k * 1e-160] for k in range(5)], "omega": [1, 2, 3],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("family", sorted(OVERFLOWING_WEIGHTS))
+def test_infinite_kernel_weights_exit_1_before_assembly(tmp_path, capsys, monkeypatch, family, command):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a form was assembled from infinite kernel weights")
+
+    monkeypatch.setattr(cli, "assemble_form", no_assembly)
+    data = dict(OVERFLOWING_WEIGHTS[family], problem={"kind": "dirichlet", "f": "1", "g": "0"})
+    assert cli.main([command, write_doc(tmp_path, "doc.json", data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite kernel weight") and err.count("\n") == 1
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -283,6 +310,43 @@ def test_each_form_is_labelled_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["diagnose", write_doc(tmp_path, "dirichlet.json", dirichlet)]) == 0
     assert len(runs) == 2
     assert json.loads(capsys.readouterr().out)["max_principle"] is True
+
+
+def test_dirichlet_diagnose_factors_three_pencils_and_reuses_one(tmp_path, monkeypatch, capsys):
+    """A Dirichlet diagnose factors the Friedrichs and the two Poincare
+    pencils, one LU each, and its CG, preconditioned by the Friedrichs
+    factor, takes a handful of iterations at h = 1/32 (Jacobi takes 122)."""
+    factorizations, iterations = [], []
+    factor = scipy.sparse.linalg.splu
+    solve = nlbvp.linalg.conjugate_gradient
+
+    def counting_factor(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return factor(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_factor)
+    monkeypatch.setattr(nlbvp.linalg, "conjugate_gradient", counting_solve)
+    n_axis = 32
+    axis = np.arange(n_axis + 1) / n_axis
+    nodes = [[x, y] for x in axis for y in axis]
+    inside = lambda p: 0.0 < p[0] < 1.0 and 0.0 < p[1] < 1.0
+    data = {
+        "family": "stencil",
+        "dimension": 2,
+        "h": 1.0 / n_axis,
+        "nodes": nodes,
+        "omega": [k for k, p in enumerate(nodes) if inside(p)],
+        "problem": {"kind": "dirichlet", "f": "-1 - x*y", "g": "sin(3*x) - cos(2*y)"},
+    }
+    assert cli.main(["diagnose", write_doc(tmp_path, "square.json", data)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_principle"] is True
+    assert len(factorizations) == 3
+    assert len(iterations) == 1 and 0 < iterations[0] <= 5
 
 
 def test_diagnose_zero_kernel(tmp_path, capsys):

@@ -349,6 +349,36 @@ def test_quadrature_rejects_nonfinite_density(value, vectorized):
         quadrature_kernel(gamma, 0.3, measure)
 
 
+def test_quadrature_overflowing_weight_is_refused_without_a_warning():
+    """A finite density times a finite mass can overflow; the kernel refuses
+    the infinite weight, and no RuntimeWarning escapes (warnings are errors
+    here)."""
+    measure = AtomicMeasure([[0.0], [0.25], [0.5]], [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite kernel weight at node 0"):
+        quadrature_kernel(lambda p, q: 1e308, 0.3, measure)
+
+
+# -- transition kernel ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (float("nan"), "non-finite kernel weight"),
+        (float("inf"), "non-finite kernel weight"),
+        (-1.0, "negative kernel weight"),
+    ],
+)
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kernel_rejects_bad_weights(weight, message, sparse):
+    support = [[(1, 1.0)], [(0, 1.0), (2, weight)], [(1, 1.0)]]
+    if sparse:
+        rows, cols, data = zip(*((x, t, w) for x, entries in enumerate(support) for t, w in entries))
+        support = sp.coo_matrix((data, (rows, cols)), shape=(3, 3))
+    with pytest.raises(ValueError, match=f"^{message} at node 1$"):
+        TransitionKernel(support, "quadrature")
+
+
 # -- nonlocal boundary ---------------------------------------------------------------
 
 

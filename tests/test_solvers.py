@@ -32,7 +32,7 @@ from nlbvp.errors import (
     PoincareViolated,
     SingularAfterRegularization,
 )
-from nlbvp.analysis import NullspaceBasis, max_principle_check
+from nlbvp.analysis import NullspaceBasis, friedrichs_constant, max_principle_check
 
 from conftest import (
     disconnected_setup,
@@ -442,6 +442,39 @@ def test_dirichlet_solutions_obey_the_max_principle(loaded):
     kappa = condition_number(form.matrix.toarray()[:m, :m])
     slack = 10.0 * kappa * TOL * max(1.0, np.linalg.norm(u[:m]))
     assert np.max(u[:m]) <= np.max(u[m:]) + slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded_forms())
+def test_friedrichs_factor_preconditions_the_dirichlet_solve(loaded):
+    """CG preconditioned by the Friedrichs eigensolve's factor of
+    A_oo + s M_o meets the dense solution within the bound Jacobi CG meets,
+    in no more iterations than Jacobi, and a load f <= 0 still puts no
+    interior value above the largest boundary value (see the two tests
+    above for the bounds).
+
+    Jacobi's first step is exact when D^{-1} r is a multiple of the solution
+    (a diagonal interior block, or a load along one eigenvector of D^{-1} A).
+    The factor is off by s M_o and cannot match that single step; there CG
+    still ends within its exact-arithmetic bound of m steps."""
+    form, load = loaded
+    m = form.domain.m
+    a = form.matrix.toarray()
+    if np.linalg.matrix_rank(a[:m, :m]) < m:
+        return  # the gate refuses before CG runs, whichever preconditioner
+    _, inverse = friedrichs_constant(form, return_inverse=True)
+    f, g = load[:m], load[m:]
+    reference = np.linalg.solve(a[:m, :m], form.mass_omega * f - a[:m, m:] @ g)
+    jacobi = solve_dirichlet(DirichletProblem(form, f, g), tol=TOL)
+    reused = solve_dirichlet(DirichletProblem(form, f, g), tol=TOL, preconditioner=inverse)
+    kappa = condition_number(a[:m, :m])
+    assert np.linalg.norm(reused.u[:m] - reference) <= 10.0 * kappa * TOL * np.linalg.norm(reference)
+    assert np.array_equal(reused.u[m:], g)
+    assert reused.iterations <= (jacobi.iterations if jacobi.iterations > 1 else m)
+    if form.domain.l:
+        u = solve_dirichlet(DirichletProblem(form, -np.abs(f), g), tol=TOL, preconditioner=inverse).u
+        slack = 10.0 * kappa * TOL * max(1.0, np.linalg.norm(u[:m]))
+        assert np.max(u[:m]) <= np.max(u[m:]) + slack
 
 
 def test_dirichlet_no_convergence_names_the_solve(rng):
