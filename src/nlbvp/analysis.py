@@ -31,21 +31,33 @@ from .measure import WEAK_BOUNDARY_THRESHOLD
 
 NULLSPACE_TOL_FACTOR = 1e-9  # default eigenvalue threshold: factor * largest diagonal
 MAX_PRINCIPLE_TOL = 1e-12
-STRONG_POINCARE_TOL = 1e-10  # spread of the kernel vector, relative to its size
 
 
 @dataclass
 class NullspaceBasis:
-    """Mass-orthonormal basis of the zero-energy subspace of the form."""
+    """The zero-energy subspace of the form, held as the component labelling
+    of its coupling graph: the span of the indicators of `components`."""
 
-    vectors: np.ndarray  # (n, k), columns orthonormal in the full mass inner product
-    eigenvalues: np.ndarray
+    labels: np.ndarray  # component id of each node, in the canonical ordering
+    components: np.ndarray  # ascending ids of the spanned components
+    masses: np.ndarray  # node masses in the canonical ordering
     tolerance: float
     domain: object
 
     @property
     def dimension(self):
-        return self.vectors.shape[1]
+        return self.components.size
+
+    @property
+    def vectors(self):
+        """(n, k) mass-normalized indicators of the spanned components,
+        orthonormal in the full mass inner product; built on each access."""
+        vectors = (self.labels[:, None] == self.components).astype(float)
+        return vectors / np.sqrt(self.masses @ vectors)
+
+    def _sums(self, values):
+        """Sums of a node function over the spanned components, in order."""
+        return np.bincount(self.labels, values)[self.components]
 
 
 @dataclass
@@ -95,13 +107,28 @@ def _gap_tol(matrix, masses):
     return NULLSPACE_TOL_FACTOR * max(float(np.max(diag / masses)) if diag.size else 0.0, 1e-300)
 
 
-def _components(form, tol=None):
-    """Components of the form's coupling graph after weak couplings are dropped
-    (see `nullspace`), as (tol, count, labels), kept on the form at the default tol."""
+def nullspace(form, tol=None):
+    """Basis of the numerical kernel of the form: its component labelling.
+
+    The form is a weighted graph Laplacian on the interior+boundary nodes,
+    so its kernel is spanned by the indicators of the graph's connected
+    components.  A coupling a_ij is weak when |a_ij| (1/m_i + 1/m_j) < tol.
+    Weak couplings are dropped before the components are labelled, but only
+    at nodes whose weak couplings sum to less than tol: the dropped couplings
+    then move no eigenvalue of the pencil (form, masses) by tol or more, so
+    every returned direction has pencil quotient below tol, and a node held
+    only by such couplings counts as a kernel direction of its own.  The
+    count can fall short of the number of pencil eigenvalues below tol only
+    when the kept couplings form a graph whose own spectral gap is below
+    tol.  The default tolerance
+    is NULLSPACE_TOL_FACTOR times the largest mass-scaled diagonal entry;
+    the form keeps its default-tolerance basis.  Components are numbered in
+    the order of their first node; `vectors` builds their indicators.
+    """
     n = form.n
     default = _gap_tol(form.matrix, form.mass_diag)
-    if (tol is None or tol == default) and form.components is not None:
-        return form.components
+    if (tol is None or tol == default) and form.nullspace is not None:
+        return form.nullspace
     tol = default if tol is None else tol
     if tol <= 0.0:
         raise ValueError("nullspace tolerance must be positive")
@@ -119,54 +146,36 @@ def _components(form, tol=None):
     kept = ~weak | (weak_sum[row] >= tol) | (weak_sum[col] >= tol)
     graph = sp.coo_matrix((np.ones(np.count_nonzero(kept)), (row[kept], col[kept])), shape=(n, n))
     count, labels = csgraph.connected_components(graph, directed=False)
+    basis = NullspaceBasis(
+        labels=labels,
+        components=np.arange(count),
+        masses=form.mass_diag,
+        tolerance=tol,
+        domain=form.domain,
+    )
     if tol == default:
-        form.components = (tol, count, labels)
-    return tol, count, labels
-
-
-def nullspace(form, tol=None):
-    """Basis of the numerical kernel of the form.
-
-    The form is a weighted graph Laplacian on the interior+boundary nodes,
-    so its kernel is spanned by the indicators of the graph's connected
-    components.  A coupling a_ij is weak when |a_ij| (1/m_i + 1/m_j) < tol.
-    Weak couplings are dropped before the components are labelled, but only
-    at nodes whose weak couplings sum to less than tol: the dropped couplings
-    then move no eigenvalue of the pencil (form, masses) by tol or more, so
-    every returned direction has pencil quotient below tol, and a node held
-    only by such couplings counts as a kernel direction of its own.  The
-    count can fall short of the number of pencil eigenvalues below tol only
-    when the kept couplings form a graph whose own spectral gap is below
-    tol.  The default tolerance
-    is NULLSPACE_TOL_FACTOR times the largest mass-scaled diagonal entry.
-    Columns are the mass-normalized indicators, in the order of each
-    component's first node.
-    """
-    tol, k, labels = _components(form, tol)
-    vectors = np.zeros((form.n, k))
-    vectors[np.arange(form.n), labels] = 1.0
-    vectors /= np.sqrt(form.mass_diag @ vectors)
-    return NullspaceBasis(vectors=vectors, eigenvalues=np.zeros(k), tolerance=tol, domain=form.domain)
+        form.nullspace = basis
+    return basis
 
 
 def project_out_kernel(u, basis, measure):
-    """Remove the interior-mass-weighted projection of u onto the nullspace.
+    """Remove the interior-mass-weighted projection of u onto the nullspace:
+    each spanned component loses its interior-mass-weighted mean.
 
     The projection minimizes the interior mass norm of the difference; the
     result is interior-mass orthogonal to every basis vector.  Orthogonality
     in the full solution-space inner product coincides because the energy
-    part vanishes against the nullspace.
+    part vanishes against the nullspace.  A component with no interior node
+    is left unchanged.
     """
-    if basis.dimension == 0:
-        return np.array(u, dtype=float)
     domain = basis.domain
-    m = domain.m
-    w_omega = basis.vectors[:m, :]
-    masses = measure.masses[domain.omega]
-    gram = w_omega.T @ (masses[:, None] * w_omega)
-    rhs = w_omega.T @ (masses * u[:m])
-    coeff = np.linalg.solve(gram, rhs)
-    return u - basis.vectors @ coeff
+    weights = np.zeros(domain.n)
+    weights[: domain.m] = measure.masses[domain.omega]
+    total = basis._sums(weights)
+    mean = np.divide(basis._sums(weights * u), total, out=np.zeros_like(total), where=total > 0.0)
+    shift = np.zeros(domain.n)  # indexed by component id
+    shift[basis.components] = mean
+    return u - shift[basis.labels]
 
 
 def friedrichs_constant(form, return_inverse=False):
@@ -252,15 +261,10 @@ def poincare_constant(form, basis, variant="full"):
 
 
 def strong_poincare_check(basis):
-    """True when the nullspace is exactly the constants: then the mean-zero
-    inequality and the projected inequality coincide."""
-    if basis.dimension != 1:
-        return False
-    w = basis.vectors[:, 0]
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        return False
-    return float(np.max(np.abs(w - w.mean()))) <= STRONG_POINCARE_TOL * scale
+    """True when the nullspace is exactly the constants (one component covers
+    every node): then the mean-zero inequality and the projected inequality
+    coincide."""
+    return basis.dimension == 1 and bool(np.all(basis.labels == basis.components[0]))
 
 
 def trace_weight(kernel, domain, variant="sufficient", c=None):
@@ -285,16 +289,14 @@ def trace_weight(kernel, domain, variant="sufficient", c=None):
 
 def compatibility_defect(f, g, basis, measure):
     """Worst violation of the solvability condition: the load must annihilate
-    every nullspace vector, max_w |sum_Omega f w m + sum_Gamma g w m|."""
-    if basis.dimension == 0:
-        return 0.0
+    every nullspace vector, max over spanned components c of
+    |sum_c load m| / sqrt(M_c), M_c the mass of c."""
     domain = basis.domain
-    m = domain.m
-    masses = measure.masses[domain.order]
     load = np.concatenate([np.asarray(f, dtype=float), np.asarray(g, dtype=float)])
     if load.shape != (domain.n,):
         raise ValueError("f and g lengths must match the interior/boundary blocks")
-    return float(np.max(np.abs(basis.vectors.T @ (masses * load))))
+    pairing = basis._sums(measure.masses[domain.order] * load)
+    return float(np.max(np.abs(pairing) / np.sqrt(basis._sums(basis.masses)), initial=0.0))
 
 
 def continuous_functional_check(g, weight, measure):

@@ -47,7 +47,7 @@ class AssembledForm:
     mass_diag    : node masses over the canonical ordering
     mass_omega   : node masses restricted to the interior block
     symmetry_defect : the kernel's symmetry defect, checked at assembly
-    components   : the default-tolerance labelling, cached by `analysis`
+    nullspace    : the default-tolerance `analysis.nullspace` basis, once computed
     """
 
     matrix: sp.csr_matrix
@@ -58,7 +58,7 @@ class AssembledForm:
     domain: object
     measure: object
     symmetry_defect: float
-    components: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    nullspace: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import analysis, linalg
@@ -79,18 +78,6 @@ def _compat_tol(problem):
     return COMPAT_TOL_FACTOR * max(scale, 1.0)
 
 
-def _spans_components(basis, labels, count, masses):
-    """True when the basis spans every component indicator: in the scaled
-    coordinates sqrt(masses) v each mass-normalized indicator keeps unit
-    length under projection onto the basis span (the diagonal of the k x k
-    Gram); a missing one loses an order-one share, rounding O(n eps)."""
-    root = np.sqrt(masses)
-    q = scipy.linalg.orth(basis.vectors * root[:, None])
-    weight = root / np.sqrt(np.bincount(labels, masses, count))[labels]
-    captured = sp.csr_matrix((weight, (labels, np.arange(labels.size))), (count, labels.size)) @ q
-    return bool(np.all(np.sum(captured * captured, axis=1) >= 1.0 - 1e-8))
-
-
 def _cg(stage, form, matrix, rhs, tol, x0=None, preconditioner=None):
     """`linalg.conjugate_gradient`, its NoConvergence naming the solve and n."""
     try:
@@ -114,7 +101,7 @@ def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None, preconditioner=None
     """
     form = problem.form
     m = form.domain.m
-    _, _, labels = analysis._components(form)
+    labels = analysis.nullspace(form).labels
     stranded = np.count_nonzero(~np.isin(labels[:m], labels[m:]))
     if stranded:
         raise FriedrichsViolated(
@@ -131,14 +118,16 @@ def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None, preconditioner=None
 def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
     """Solve the flux problem on the orthogonal complement of the nullspace.
 
-    Requires a spectral gap above the nullspace, that is, a basis spanning
-    every component indicator at the basis tolerance, and a compatible load.
+    Requires a spectral gap above the nullspace, that is, a basis carrying
+    the form's component labelling at the basis tolerance and spanning every
+    component, and a compatible load.
     The returned representative is mass-orthogonal to every nullspace
     vector; any other solution differs from it by a nullspace element only.
     """
     form = problem.form
-    _, count, labels = analysis._components(form, basis.tolerance)
-    if not _spans_components(basis, labels, count, form.mass_diag):
+    labelled = analysis.nullspace(form, basis.tolerance)
+    # past this gate the basis spans every component: its sums are indexed by label
+    if basis.dimension < labelled.dimension or not np.array_equal(basis.labels, labelled.labels):
         raise PoincareViolated(
             "no spectral gap above the nullspace: the Poincare inequality fails"
         )
@@ -151,15 +140,15 @@ def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
             "no solution exists"
         )
     b = form.mass_diag * np.concatenate([problem.f, problem.g])
-    w = basis.vectors
-    q, _ = np.linalg.qr(w)  # Euclidean basis of the kernel; (n, 0) when empty
-    rhs = b - q @ (q.T @ b)
+    labels, size = basis.labels, basis._sums(np.ones(form.n))
+    rhs = b - (basis._sums(b) / size)[labels]  # the range: no component mean
     if 2.0 * (rhs @ rhs) < b @ b:  # b was mostly kernel: project away the rounding left there
-        rhs -= q @ (q.T @ rhs)
+        rhs -= (basis._sums(rhs) / size)[labels]
     if np.linalg.norm(rhs) <= b.size * np.finfo(float).eps * np.linalg.norm(b):
         rhs[:] = 0.0  # the load lies in the kernel up to the rounding of its projection
     x, residual, iterations = _cg("neumann", form, form.matrix, rhs, tol)
-    x = x - w @ (w.T @ (form.mass_diag * x))  # mass-orthogonal representative
+    # the mass-orthogonal representative: no component mass-weighted mean
+    x -= (basis._sums(form.mass_diag * x) / basis._sums(form.mass_diag))[labels]
     return Solution(u=x, residual=residual, iterations=iterations, projected=True, kind="neumann")
 
 
@@ -182,12 +171,12 @@ def solve_regularized(problem, c, tol=DEFAULT_SOLVE_TOL):
         raise ValueError("the zeroth-order coefficient must be non-negative")
     if not np.any(c > 0.0):
         return solve_neumann(problem, analysis.nullspace(form), tol=tol)
-    gap_tol, count, labels = analysis._components(form)
-    uncovered = count - np.unique(labels[:m][c >= gap_tol]).size
+    basis = analysis.nullspace(form)
+    uncovered = basis.dimension - np.unique(basis.labels[:m][c >= basis.tolerance]).size
     if uncovered:
         raise SingularAfterRegularization(
-            f"augmented system still has a numerical kernel: {uncovered} of {count} "
-            f"graph components hold no node with c >= {gap_tol:.3e}"
+            f"augmented system still has a numerical kernel: {uncovered} of "
+            f"{basis.dimension} graph components hold no node with c >= {basis.tolerance:.3e}"
         )
     shift = np.zeros(form.n)
     shift[:m] = c * form.mass_omega

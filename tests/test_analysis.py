@@ -1,5 +1,6 @@
 """Nullspace extraction, inequality constants, trace weights, principle checks."""
 
+import dataclasses
 from types import SimpleNamespace
 from unittest import mock
 
@@ -30,7 +31,6 @@ from nlbvp import (
     trace_weight,
     unit_cube_grid,
 )
-from nlbvp.analysis import NullspaceBasis
 from nlbvp.errors import EmptyGamma, NonPositiveC
 
 from conftest import (
@@ -213,13 +213,7 @@ def test_poincare_full_mean_zero_inequality(rng):
 
 def test_poincare_flags_infinite_on_truncated_basis():
     _, form = interval_setup(0.25)
-    basis = nullspace(form)
-    empty = NullspaceBasis(
-        vectors=np.empty((form.n, 0)),
-        eigenvalues=np.array([]),
-        tolerance=basis.tolerance,
-        domain=basis.domain,
-    )
+    empty = dataclasses.replace(nullspace(form), components=np.arange(0))
     report = poincare_constant(form, empty, variant="full")
     assert report.constant == np.inf
 

@@ -1,5 +1,7 @@
 """Dirichlet/Neumann solves, regularized solves, and strong-form recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,7 +34,7 @@ from nlbvp.errors import (
     PoincareViolated,
     SingularAfterRegularization,
 )
-from nlbvp.analysis import NullspaceBasis, friedrichs_constant, max_principle_check
+from nlbvp.analysis import friedrichs_constant, max_principle_check
 
 from conftest import (
     disconnected_setup,
@@ -188,12 +190,7 @@ def test_neumann_gauge_freedom(rng):
 
 def test_neumann_requires_spectral_gap():
     grid, form = interval_setup(0.25)
-    truncated = NullspaceBasis(
-        vectors=np.empty((form.n, 0)),
-        eigenvalues=np.array([]),
-        tolerance=nullspace(form).tolerance,
-        domain=form.domain,
-    )
+    truncated = dataclasses.replace(nullspace(form), components=np.arange(0))
     with pytest.raises(PoincareViolated):
         solve_neumann(NeumannProblem(form, np.zeros(grid.m), np.zeros(grid.l)), truncated)
 
@@ -315,12 +312,7 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
     assert raises(FriedrichsViolated, lambda: solve_dirichlet(DirichletProblem(form, *zero))) == singular
 
     # Neumann: the gap above a truncated basis, by deflation
-    truncated = NullspaceBasis(
-        vectors=full.vectors[:, keep[: full.dimension]],
-        eigenvalues=full.eigenvalues[keep[: full.dimension]],
-        tolerance=full.tolerance,
-        domain=domain,
-    )
+    truncated = dataclasses.replace(full, components=full.components[keep[: full.dimension]])
     for basis in (full, truncated):
         complement = scipy.linalg.null_space((basis.vectors * np.sqrt(form.mass_diag)[:, None]).T)
         lam = dense_smallest(form.matrix.toarray(), form.mass_diag, complement)
