@@ -97,7 +97,6 @@ class FunctionalCheck:
     weighted_sum: float
     min_weight: float
     ill_conditioned: bool
-    passes: bool = True
 
 
 def _gap_tol(matrix, masses):

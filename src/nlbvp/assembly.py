@@ -69,7 +69,8 @@ def assemble_form(kernel, measure, domain):
     """Assemble the energy form over the domain's interior/boundary ordering.
 
     Refuses kernels whose symmetry defect exceeds ASSEMBLY_SYMMETRY_TOL or is
-    NaN (mass-weighted weights that overflow).
+    NaN, and, with a ValueError naming the node, kernels whose mass-weighted
+    weights or diagonal weight sums overflow.
     Interior-interior pair coefficients average the two ordered kernel
     weights, which reproduces them exactly for symmetric kernels and keeps
     the matrix symmetric entry-wise for near-symmetric ones.
@@ -89,7 +90,11 @@ def assemble_form(kernel, measure, domain):
     half.resize(n, n)
     half.sort_indices()
     coupling = half + half.T
-    matrix = (sp.diags(coupling @ np.ones(n)) - coupling).tocsr()
+    diagonal = coupling @ np.ones(n)
+    overflow = np.flatnonzero(~np.isfinite(diagonal))
+    if overflow.size:
+        raise ValueError(f"kernel weight sum overflows at node {domain.order[overflow[0]]}")
+    matrix = (sp.diags(diagonal) - coupling).tocsr()
     masses = measure.masses[domain.order]
     return AssembledForm(
         matrix=matrix,

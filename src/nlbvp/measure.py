@@ -483,10 +483,16 @@ def symmetry_defect(kernel, measure):
     max |W - W^T| with W = diag(mass) K.
 
     Zero exactly when the product of measure and kernel is flip-invariant on
-    the atomic product sigma-algebra.
+    the atomic product sigma-algebra.  A weight of W that overflows is a
+    ValueError naming its node.
     """
     if len(kernel) != len(measure):
         raise ValueError("kernel and measure describe different node counts")
     weights = kernel.matrix.copy()  # W: each row's data scaled by its node's mass
-    weights.data *= np.repeat(measure.masses, np.diff(weights.indptr))
+    rows = np.repeat(np.arange(len(kernel)), np.diff(weights.indptr))
+    with np.errstate(over="ignore"):
+        weights.data *= measure.masses[rows]
+    overflow = np.flatnonzero(~np.isfinite(weights.data))
+    if overflow.size:
+        raise ValueError(f"mass-weighted kernel weight overflows at node {rows[overflow[0]]}")
     return float(abs(weights - weights.T).max())

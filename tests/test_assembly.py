@@ -1,5 +1,7 @@
 """Form assembly, operator application, and the integration-by-parts identity."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import nlbvp
 from nlbvp import (
     AtomicMeasure,
     TransitionKernel,
@@ -98,13 +101,18 @@ def test_assembly_rejects_asymmetric_kernel():
 
 def test_assembly_rejects_a_nan_symmetry_defect():
     """Weights of 1e300 against masses of 1e10 overflow W = diag(m) K to inf
-    on both sides of every pair, so the defect is inf - inf = NaN: refused,
-    not passed as zero."""
+    on both sides of every pair, where the defect would be inf - inf = NaN:
+    the overflow is refused at its node, and a NaN defect is refused, not
+    passed as zero."""
     measure = AtomicMeasure([[0.0], [1.0], [2.0]], np.full(3, 1e10))
     kernel = TransitionKernel([[(1, 1e300)], [(0, 1e300), (2, 1e300)], [(1, 1e300)]], "quadrature")
     domain = nonlocal_boundary(kernel, [1], measure)
-    with np.errstate(over="ignore"), pytest.raises(AsymmetricKernel, match="defect nan"):
+    with pytest.raises(ValueError, match="mass-weighted kernel weight overflows at node 0"):
         assemble_form(kernel, measure, domain)
+    measure, kernel, domain, _ = three_node_setup()
+    with mock.patch.object(nlbvp.assembly, "symmetry_defect", return_value=np.nan):
+        with pytest.raises(AsymmetricKernel, match="defect nan"):
+            assemble_form(kernel, measure, domain)
 
 
 def test_bilinear_annihilates_constants():

@@ -153,6 +153,40 @@ def test_infinite_kernel_weights_exit_1_before_assembly(tmp_path, capsys, monkey
     assert err.startswith("error: non-finite kernel weight") and err.count("\n") == 1
 
 
+OVERFLOWING_FORMS = {
+    # K = 1e300 is finite, but W = mass * K = 1e310 is not
+    "weights": (
+        {
+            "family": "quadrature", "dimension": 1, "delta": 0.6, "gamma": "1e290",
+            "nodes": [[0.0, 1e10], [0.5, 1e10], [1.0, 1e10]], "omega": [1],
+        },
+        "mass-weighted kernel weight overflows at node 0",
+    ),
+    # W = 1e308 is finite, but an interior node's weight sum 2e308 is not
+    "sums": (
+        {
+            "family": "quadrature", "dimension": 1, "delta": 0.6, "gamma": "1e308",
+            "nodes": [[0.0, 1.0], [0.5, 1.0], [1.0, 1.0], [1.5, 1.0]], "omega": [1, 2],
+        },
+        "kernel weight sum overflows at node 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_FORMS))
+def test_overflowing_forms_exit_1_before_any_solve(tmp_path, capsys, monkeypatch, case, command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on an overflowing form")
+
+    monkeypatch.setattr(nlbvp.linalg, "conjugate_gradient", no_solve)
+    monkeypatch.setattr(nlbvp.linalg, "smallest_eigenpairs", no_solve)
+    data, message = OVERFLOWING_FORMS[case]
+    data = dict(data, problem={"kind": "dirichlet", "f": "1", "g": "0"})
+    assert cli.main([command, write_doc(tmp_path, "doc.json", data)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- solve ------------------------------------------------------------------------
 
 

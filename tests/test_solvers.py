@@ -1,6 +1,7 @@
 """Dirichlet/Neumann solves, regularized solves, and strong-form recovery."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import nlbvp
 from nlbvp import (
     AtomicMeasure,
     DirichletProblem,
@@ -17,10 +19,12 @@ from nlbvp import (
     TransitionKernel,
     assemble_form,
     bilinear,
+    compatibility_defect,
     energy_dirichlet,
     energy_neumann,
     nonlocal_boundary,
     nullspace,
+    project_out_kernel,
     solve_dirichlet,
     solve_neumann,
     solve_regularized,
@@ -382,10 +386,39 @@ def test_neumann_matches_dense_least_squares(loaded):
     a, mass = form.matrix.toarray(), form.mass_diag
     basis = nullspace(form)
     w = basis.vectors
+    # the per-component sums against the dense formulas on the basis vectors,
+    # to a summation bound over the form's n nodes
+    rounding = 10 * form.n * np.finfo(float).eps
+    defect = compatibility_defect(load[:m], load[m:], basis, form.measure)
+    scale = np.max(np.abs(w).T @ np.abs(mass * load))
+    assert abs(defect - np.max(np.abs(w.T @ (mass * load)))) <= rounding * scale
+    reached = np.isin(basis.components, basis.labels[:m])  # a component with no interior node stays
+    gram = w[:m, reached].T @ (mass[:m, None] * w[:m, reached])
+    dense = load - w[:, reached] @ np.linalg.solve(gram, w[:m, reached].T @ (mass[:m] * load[:m]))
+    assert np.max(np.abs(project_out_kernel(load, basis, form.measure) - dense)) <= rounding
     load = load - w @ (w.T @ (mass * load))  # compatible: pairs with no kernel vector
     reference = np.linalg.lstsq(a, mass * load, rcond=None)[0]
     reference -= w @ (w.T @ (mass * reference))
-    u = solve_neumann(NeumannProblem(form, load[:m], load[m:]), basis, tol=TOL).u
+    solves = []
+    conjugate_gradient = nlbvp.linalg.conjugate_gradient
+
+    def recording(matrix, rhs, **kwargs):
+        result = conjugate_gradient(matrix, rhs, **kwargs)
+        solves.append((rhs.copy(), result[0].copy()))
+        return result
+
+    with mock.patch.object(nlbvp.linalg, "conjugate_gradient", recording):
+        u = solve_neumann(NeumannProblem(form, load[:m], load[m:]), basis, tol=TOL).u
+    # the range projection (by QR) and the mass-orthogonal shift, densely
+    rhs, x = solves[0]
+    b = mass * load
+    q = np.linalg.qr(w)[0]
+    projected = b - q @ (q.T @ b)
+    if 2.0 * (projected @ projected) < b @ b:
+        projected -= q @ (q.T @ projected)
+    assert np.linalg.norm(rhs - projected) <= rounding * np.linalg.norm(b)
+    shifted = x - w @ (w.T @ (mass * x))
+    assert np.max(np.abs(u - shifted)) <= rounding * np.max(np.abs(x), initial=0.0)
     spectrum = scipy.linalg.eigvalsh(a)[basis.dimension :]  # on the range; empty for a zero form
     bound = 0.0
     if spectrum.size:
