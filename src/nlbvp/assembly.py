@@ -70,7 +70,9 @@ def assemble_form(kernel, measure, domain):
 
     Refuses kernels whose symmetry defect exceeds ASSEMBLY_SYMMETRY_TOL or is
     NaN, and, with a ValueError naming the node, kernels whose mass-weighted
-    weights or diagonal weight sums overflow.
+    weights or diagonal weight sums overflow, or whose diagonal entries a_ii
+    make 2n a_ii / m_i overflow: under that bound the mass-scaled quantities
+    of the spectral stage stay finite.
     Interior-interior pair coefficients average the two ordered kernel
     weights, which reproduces them exactly for symmetric kernels and keeps
     the matrix symmetric entry-wise for near-symmetric ones.
@@ -94,8 +96,15 @@ def assemble_form(kernel, measure, domain):
     overflow = np.flatnonzero(~np.isfinite(diagonal))
     if overflow.size:
         raise ValueError(f"kernel weight sum overflows at node {domain.order[overflow[0]]}")
-    matrix = (sp.diags(diagonal) - coupling).tocsr()
     masses = measure.masses[domain.order]
+    # 2n a_ii / m_i bounds the nullspace weights |a_ij| (1/m_i + 1/m_j) and
+    # the row sums of the mass-scaled pencils
+    with np.errstate(over="ignore"):
+        scaled = 2 * n * (diagonal / masses)
+    overflow = np.flatnonzero(~np.isfinite(scaled))
+    if overflow.size:
+        raise ValueError(f"mass-scaled form entry overflows at node {domain.order[overflow[0]]}")
+    matrix = (sp.diags(diagonal) - coupling).tocsr()
     return AssembledForm(
         matrix=matrix,
         omega_block=matrix[:m, :m].tocsr(),

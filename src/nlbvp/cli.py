@@ -12,6 +12,7 @@ Exit codes form a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -203,6 +204,7 @@ def cmd_bench(args):
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nlbvp",

@@ -141,21 +141,22 @@ def evaluate_expression(expr, points):
 
 
 def radial_density(expr):
-    """Symmetric density from a radial expression in the variable r.
+    """Density from a radial expression in the variable r.
 
-    The density takes two coordinate-major stacks p, q of shape (d, k) and
-    returns the k values at r = |p[:, k] - q[:, k]|; `gamma.vectorized`
-    tells `quadrature_kernel` to call it once on all pairs.
+    The density takes the array `r` of pair distances and returns the
+    density at each.  A function of |x - y| alone is symmetric, so
+    `gamma.radial` tells `quadrature_kernel` to call it once, on the
+    distances of all unordered pairs, and to use each value for both
+    orientations of its pair.
     """
     evaluate = _compile_expression(expr, ("r",))
 
-    def gamma(p, q):
-        r = np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float), axis=0)
+    def gamma(r):
         values = np.empty(r.shape)
         values[...] = evaluate(r=r)
         return values
 
-    gamma.vectorized = True
+    gamma.radial = True
     return gamma
 
 

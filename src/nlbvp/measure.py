@@ -130,7 +130,9 @@ def _close_pairs(points, radius):
 def _sample(func, *points):
     """The k values of `func` at the rows of the (k, d) arrays `points`: one
     call on their (d, k) coordinate stacks when `func.vectorized` is true (a
-    scalar result is broadcast), else one call per row."""
+    scalar result is broadcast), else one call per row.  It probes the
+    (p, q) densities of `quadrature_kernel` and the manufactured solutions
+    of `poisson.manufactured_solve`."""
     values = np.empty(points[0].shape[0])
     if getattr(func, "vectorized", False):
         values[...] = func(*(p.T for p in points))
@@ -438,30 +440,40 @@ def quadrature_kernel(gamma, delta, measure):
     only through their values at node pairs.  The cut-off |x - y| <= delta
     is taken up to the measure's coordinate tolerance `lookup_tol`, so pairs
     at exactly delta (a lattice with delta a multiple of its step) are kept
-    however their coordinates were rounded.  The density is probed once per
-    unordered pair within delta, in both orientations, and checked there:
-    a non-finite or negative value is a ValueError, and an asymmetric density
-    is rejected rather than symmetrized, since silent symmetrization would
-    mask modeling errors.
+    however their coordinates were rounded.  The density is probed on the
+    unordered pairs within delta and checked there: a non-finite or negative
+    value is a ValueError, and an asymmetric density is rejected rather than
+    symmetrized, since silent symmetrization would mask modeling errors.
 
-    `gamma` is either a `(p, q) -> float` callable, probed pair by pair, or
-    a vectorized density (marked by a true `gamma.vectorized` attribute, as
-    `fileio.radial_density` returns) that takes coordinate-major stacks of
-    shape (d, k) and returns the k values; it is called once per orientation
-    (see `_sample`).
+    `gamma` is either a radial density, marked by a true `gamma.radial`
+    attribute as `fileio.radial_density` returns, or a (p, q) density.  A
+    radial density takes the array of pair distances r and is called once;
+    r is summed axis by axis and rooted, the bits `np.linalg.norm` gives, and
+    each value serves both orientations of its pair, so it needs no symmetry
+    check.  A (p, q) density is probed in both orientations, either pair by
+    pair or, when `gamma.vectorized` is true, once per orientation on
+    coordinate-major stacks of shape (d, k) (see `_sample`).
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"interaction radius delta must be positive and finite, got {delta}")
     pts = measure.points
     i, j = _close_pairs(pts, delta + measure.lookup_tol)
-    g_ij, g_ji = _sample(gamma, pts[i], pts[j]), _sample(gamma, pts[j], pts[i])
-    nonfinite = np.flatnonzero(~(np.isfinite(g_ij) & np.isfinite(g_ji)))
+    radial = getattr(gamma, "radial", False)
+    if radial:
+        g_ij = g_ji = gamma(np.sqrt(sum((axis[i] - axis[j]) ** 2 for axis in pts.T)))
+    else:
+        p, q = pts[i], pts[j]
+        g_ij, g_ji = _sample(gamma, p, q), _sample(gamma, q, p)
+    finite = np.isfinite(g_ij) if radial else np.isfinite(g_ij) & np.isfinite(g_ji)
+    nonfinite = np.flatnonzero(~finite)
     if nonfinite.size:
         k = nonfinite[0]
         raise ValueError(f"density is not finite on pair ({i[k]}, {j[k]}): {g_ij[k]}, {g_ji[k]}")
-    negative = (g_ij < 0.0) | (g_ji < 0.0)
-    scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
-    failing = np.flatnonzero(negative | (np.abs(g_ij - g_ji) > DENSITY_SYMMETRY_TOL * scale))
+    negative = failing = g_ij < 0.0 if radial else (g_ij < 0.0) | (g_ji < 0.0)
+    if not radial:
+        scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
+        failing = negative | (np.abs(g_ij - g_ji) > DENSITY_SYMMETRY_TOL * scale)
+    failing = np.flatnonzero(failing)
     if failing.size:
         k = failing[0]
         if negative[k]:

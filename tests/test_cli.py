@@ -187,6 +187,26 @@ def test_overflowing_forms_exit_1_before_any_solve(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_overflowing_mass_scaled_entries_exit_1_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    """The form's entries and weight sums are finite (1e308), but the
+    nullspace weights a_01 (1/m_0 + 1/m_1) and the scaled pencil's row sums
+    are not; assembly refuses the form, naming the node."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on an overflowing form")
+
+    monkeypatch.setattr(nlbvp.linalg, "conjugate_gradient", no_solve)
+    monkeypatch.setattr(nlbvp.linalg, "smallest_eigenpairs", no_solve)
+    data = {
+        "family": "quadrature", "dimension": 1, "delta": 0.6, "gamma": "1e308",
+        "nodes": [[0.0, 1.0], [0.5, 1.0]], "omega": [0],
+        "problem": {"kind": "neumann", "f": [1.0], "g": [-1.0]},
+    }
+    assert cli.main([command, write_doc(tmp_path, "doc.json", data)]) == 1
+    assert capsys.readouterr().err == "error: mass-scaled form entry overflows at node 0\n"
+
+
 # -- solve ------------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Kernel construction, boundary detection, and symmetry diagnostics."""
 
+import functools
 import itertools
 import re
 
@@ -25,9 +26,10 @@ from nlbvp.errors import (
     NonCommensurateGrid,
     NonPositiveConductance,
 )
+from nlbvp.fileio import radial_density
 from nlbvp.measure import _close_pairs
 
-from conftest import three_node_setup
+from conftest import point_clouds, three_node_setup
 
 
 def interval_measure(h, cell_mass=1.0):
@@ -356,6 +358,68 @@ def test_quadrature_overflowing_weight_is_refused_without_a_warning():
     measure = AtomicMeasure([[0.0], [0.25], [0.5]], [2.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="non-finite kernel weight at node 0"):
         quadrature_kernel(lambda p, q: 1e308, 0.3, measure)
+
+
+RADIAL_EXPRESSIONS = ["exp(-r*r)", "1/(1+r)", "r", "2.5", "sqrt(r)*cos(r)", "abs(1 - 3*r)**1.5"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_clouds(), st.sampled_from(RADIAL_EXPRESSIONS))
+def test_radial_density_matches_coordinate_density_bit_for_bit(cloud, expr):
+    """The distances of the radial path are the bits of `np.linalg.norm`
+    over the coordinate differences, in either orientation."""
+    points, masses, delta, _, _, _ = cloud
+    gaps = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    assume(gaps[~np.eye(len(points), dtype=bool)].min() > 1e-9)
+    measure = AtomicMeasure(points, masses)
+    radial = radial_density(expr)
+
+    def by_coordinates(p, q):
+        return radial(np.linalg.norm(p - q, axis=0))
+
+    by_coordinates.vectorized = True
+    fast = quadrature_kernel(radial, delta, measure).matrix
+    reference = quadrature_kernel(by_coordinates, delta, measure).matrix
+    assert_array_equal(fast.indptr, reference.indptr)
+    assert_array_equal(fast.indices, reference.indices)
+    assert_array_equal(fast.data.view(np.int64), reference.data.view(np.int64))
+
+
+def test_radial_density_is_evaluated_once_per_kernel():
+    """One call on the distances of all unordered pairs; the marker survives
+    a `functools.wraps` wrapper."""
+    measure = interval_measure(0.25)
+    density = radial_density("exp(-r*r)")
+    calls = []
+
+    @functools.wraps(density)
+    def counted(r):
+        calls.append(r.shape)
+        return density(r)
+
+    kernel = quadrature_kernel(counted, 0.6, measure)
+    assert calls == [(kernel.matrix.nnz // 2,)]
+    assert (kernel.matrix != quadrature_kernel(density, 0.6, measure).matrix).nnz == 0
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (float("nan"), r"not finite on pair \(0, 2\): nan, nan"),
+        (-1.0, r"negative on pair \(0, 2\)"),
+    ],
+)
+def test_radial_density_values_are_checked_once(value, message):
+    """Pairs (0, 1), (0, 2), (1, 2) at r = 0.25, 0.5, 0.25: the value at
+    r = 0.5 is refused with the (p, q) path's message."""
+    measure = AtomicMeasure([[0.0], [0.25], [0.5]])
+
+    def gamma(r):
+        return np.where(r > 0.4, value, 1.0)
+
+    gamma.radial = True
+    with pytest.raises(ValueError, match=message):
+        quadrature_kernel(gamma, 0.6, measure)
 
 
 # -- transition kernel ---------------------------------------------------------------
