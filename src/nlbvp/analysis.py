@@ -50,10 +50,14 @@ class NullspaceBasis:
 
     @property
     def vectors(self):
-        """(n, k) mass-normalized indicators of the spanned components,
-        orthonormal in the full mass inner product; built on each access."""
+        """(n, k) indicators of the spanned components, orthonormal in the full
+        mass inner product, built on each access for callers that want columns."""
         vectors = (self.labels[:, None] == self.components).astype(float)
         return vectors / np.sqrt(self.masses @ vectors)
+
+    def _spanned_labels(self):
+        """The labels, -1 on the nodes of the components not spanned."""
+        return np.where(np.isin(self.labels, self.components), self.labels, -1)
 
     def _sums(self, values):
         """Sums of a node function over the spanned components, in order."""
@@ -122,7 +126,7 @@ def nullspace(form, tol=None):
     tol.  The default tolerance
     is NULLSPACE_TOL_FACTOR times the largest mass-scaled diagonal entry;
     the form keeps its default-tolerance basis.  Components are numbered in
-    the order of their first node; `vectors` builds their indicators.
+    the order of their first node.
     """
     n = form.n
     default = _gap_tol(form.matrix, form.mass_diag)
@@ -208,9 +212,7 @@ def _gap_report(lam, witness, tolerance):
 
 
 def _poincare_full(form, basis):
-    lam, vec = linalg.smallest_eigenpairs(
-        form.matrix, form.mass_diag, count=1, deflate=basis.vectors
-    )
+    lam, vec = linalg.smallest_eigenpairs(form.matrix, form.mass_diag, deflate=basis._spanned_labels())
     witness = vec[:, 0] if lam.size else np.zeros(form.n)
     return _gap_report(lam, witness, basis.tolerance)
 
@@ -235,9 +237,7 @@ def _poincare_omega(form, basis):
     y = form.gamma_block.copy()  # Y: A_og's data scaled
     y.data *= np.sqrt(inverse_gg)[y.indices]
     schur = form.omega_block - y @ y.T
-    lam, vec = linalg.smallest_eigenpairs(
-        schur, form.mass_omega, count=1, deflate=basis.vectors[:m]
-    )
+    lam, vec = linalg.smallest_eigenpairs(schur, form.mass_omega, deflate=basis._spanned_labels()[:m])
     interior = vec[:, 0] if lam.size else np.zeros(m)
     witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])
     return _gap_report(lam, witness, basis.tolerance)

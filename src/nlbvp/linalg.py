@@ -11,9 +11,9 @@ Two workhorses live here:
 * the package's one eigensolver, for the smallest eigenpairs of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization per call of the pencil, scaled and shifted on
-  its CSR arrays, for ARPACK's shift-invert Lanczos, deflated against a
-  given subspace.  On request the factorization is handed back as the
-  solve of the shifted pencil A + s D, a preconditioner for A.
+  its CSR arrays, for ARPACK's shift-invert Lanczos, deflated by a component
+  labelling in one `bincount`.  On request the factorization is handed back
+  as the solve of the shifted pencil A + s D, a preconditioner for A.
   The Lanczos basis holds 2 count + 4 vectors and stops once every Ritz
   residual is at most EIGEN_TOL relative to its Ritz value: for a symmetric
   pencil the Ritz value's error is bounded by residual^2 / gap (Kato-Temple),
@@ -158,21 +158,23 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
 
     Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
     B is exactly symmetric when A is, and refused otherwise), restricted to the
-    D-orthogonal complement of the columns of `deflate` (which should span an
-    invariant subspace, such as a nullspace).  B + s I, s = 1e-6 ||B||_inf
+    D-orthogonal complement of the components `deflate` labels (an id per
+    node, -1 on a node none holds; they should span an invariant subspace,
+    such as a nullspace): x - w (sum_c w x)[id], w = sqrt(m / M_c), one
+    `bincount`, skipped when nothing is deflated.  B + s I, s = 1e-6 ||B||_inf
     added on the diagonal, is factored once by `splu`, and ARPACK's
     shift-invert Lanczos (`eigsh`, sigma = -s) runs on that factorization from
     a fixed start vector.  Its Krylov basis holds min(free, 2 count + 4)
-    vectors (6 for one pair; free is the dimension of the searched space) and
-    it stops when each Ritz residual is at most EIGEN_TOL times its Ritz
-    value.  The Ritz value's relative error is then at most about EIGEN_TOL^2
-    over the relative gap to the next eigenvalue (Kato-Temple), below rounding
-    unless that gap is under 1e-4, so the eigenvalues are those of a
-    machine-precision run with fewer solves.  ARPACK needs `count` below the
-    dimension of the searched space minus one; otherwise a dense `eigh` of the
-    compressed matrix answers.  Either way each eigenvalue is returned as the
-    Rayleigh quotient v^T A v / v^T D v of its vector, one sparse product for
-    all of them.
+    vectors (6 for one pair; free = n - deflated components) and it stops
+    when each Ritz residual is at most EIGEN_TOL times its Ritz value.  The
+    Ritz value's relative error is then at most about EIGEN_TOL^2 over the
+    relative gap to the next eigenvalue (Kato-Temple), below rounding unless
+    that gap is under 1e-4, so the eigenvalues are those of a machine-precision
+    run with fewer solves.  ARPACK needs `count` below free - 1; otherwise a
+    dense `eigh` answers on the free nodes and those of deflated components
+    of 2+ nodes, at most 2 (count + 1).  Either way each eigenvalue is
+    returned as the Rayleigh quotient v^T A v / v^T D v of its vector, one
+    sparse product for all of them.
 
     With `return_inverse` the factorization outlives the call as a third
     value, the function r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r
@@ -194,16 +196,18 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
     pairs = zip((csr.indptr, csr.indices, csr.data), (b.indptr, b.indices, b.data))
     if not all(np.array_equal(u, v) for u, v in pairs):
         raise EigensolverFailure(f"the scaled size-{n} pencil is not exactly symmetric")
-    if deflate is None:
-        q = np.empty((n, 0))
-    else:  # orthonormal in the scaled coordinates; drops dependent columns
-        q = scipy.linalg.orth(np.reshape(deflate, (n, -1)) / scale[:, None])
-    free = n - q.shape[1]
+    ids = (np.full(n, -1) if deflate is None else np.asarray(deflate)) + 1  # bin 0: free nodes
+    size = np.bincount(ids)
+    weight = np.where(ids > 0, np.sqrt(masses / np.bincount(ids, masses)[ids]), 0.0)
+    free = n - np.count_nonzero(size[1:])
     count = min(count, free)
-    if count >= free - 1:
-        complement = scipy.linalg.null_space(q.T)
-        values, vectors = scipy.linalg.eigh(complement.T @ (b @ complement))
-        values, vectors = values[:count], complement @ vectors[:, :count]
+    if count >= free - 1:  # on the free nodes and deflated components of 2+ nodes: <= 2 * free
+        kept = np.flatnonzero((ids == 0) | (size[ids] > 1))
+        spanned = np.flatnonzero(size[1:] > 1) + 1
+        complement = scipy.linalg.null_space((ids[kept] == spanned[:, None]) * weight[kept])
+        values, coords = scipy.linalg.eigh(complement.T @ (b[kept][:, kept] @ complement))
+        values, vectors = values[:count], np.zeros((n, count))
+        vectors[kept] = complement @ coords[:, :count]
         shifted_inverse = None
     else:
         filled = np.flatnonzero(np.diff(matrix.indptr))  # ||B||_inf: the largest row sum of |B|
@@ -216,7 +220,7 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
         )
 
         def project(x):
-            return x - q @ (q.T @ x) if q.shape[1] else x
+            return x - weight * np.bincount(ids, weight * x)[ids] if free < n else x
 
         inverse = spla.LinearOperator((n, n), lambda x: project(factor.solve(project(x))), dtype=float)
         start = project(np.random.default_rng(0).standard_normal(n))

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -351,6 +351,23 @@ def weighted_graphs(draw):
     return weights, masses, omega
 
 
+@st.composite
+def component_graphs(draw):
+    """`weighted_graphs` input in many pieces: 2-8 disjoint pieces of 1-3
+    nodes, each fully coupled, so the component count is comparable to n and
+    the deflated pencils reach both the dense and the Lanczos path."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=8))
+    n = sum(sizes)
+    weights = np.zeros((n, n))
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        for i in range(start, start + size):
+            for j in range(i + 1, start + size):
+                weights[i, j] = weights[j, i] = draw(st.floats(1e-3, 1.0))
+    masses = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return weights, masses, omega
+
+
 def dense_gap_constant(matrix, masses, skip, tol):
     """1 / (eigenvalue number skip+1) of the dense pencil, inf below tol,
     0 when the pencil has no eigenvalue beyond the first skip."""
@@ -374,7 +391,14 @@ def weighted_graph_form(graph):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(weighted_graphs().map(weighted_graph_form), quadrature_forms(), stencil_forms()))
+@given(
+    st.one_of(
+        weighted_graphs().map(weighted_graph_form),
+        quadrature_forms(),
+        stencil_forms(),
+        component_graphs().map(weighted_graph_form),
+    )
+)
 def test_spectral_layer_matches_dense_on_random_graphs(form):
     # the dense oracles scale their thresholds by the matrix: a zero form has none
     assume(form.matrix.diagonal().max() > 0.0)
@@ -398,6 +422,17 @@ def test_spectral_layer_matches_dense_on_random_graphs(form):
         assert report.constant == pytest.approx(expected[name], rel=1e-8, abs=1e-300), name
     for variant in ("full", "omega"):
         assert poincare_constant(form, basis, variant=variant).constant == reports[variant].constant
+
+
+def test_component_graphs_reach_both_eigensolver_paths():
+    """Deflated by its components, the full pencil of a many-piece form has
+    n - k free dimensions: some forms leave at most two (dense eigh) and some
+    leave three or more across two or more components (shift-invert Lanczos)."""
+    dimensions = component_graphs().map(weighted_graph_form).map(
+        lambda form: (form.n - nullspace(form).dimension, nullspace(form).dimension)
+    )
+    find(dimensions, lambda pair: pair[0] <= 2 and pair[1] >= 2)
+    find(dimensions, lambda pair: pair[0] >= 3 and pair[1] >= 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,31 @@ def test_solve_singular_interior_exits_3(tmp_path, capsys):
     assert cli.main(["solve", path]) == 3
 
 
+HEAVY_INTERIOR = {
+    "family": "quadrature", "dimension": 1, "delta": 1.05, "gamma": "exp(-30*r*r)",
+    "nodes": [[0.0, 1e6], [0.1, 1.0], [-1.0, 1.0]], "omega": [0, 2],
+    "problem": {"kind": "dirichlet", "f": "1", "g": "0"},
+}
+
+
+def test_dirichlet_gate_labels_at_the_interior_tolerance(tmp_path, capsys):
+    """The heavy interior node 0 gives its boundary neighbour the largest
+    mass-scaled diagonal, 7.4e5, so at the full form's tolerance, 7.4e-4, node
+    2's only coupling (9.4e-8) is dropped and the node looks stranded.  The
+    interior block's tolerance, 7.4e-10, on which the Friedrichs constant
+    (1.07e7) gates, keeps it: both commands exit 0, and CG solves the 2 x 2
+    interior system to the dense solve's rounding."""
+    path = write_doc(tmp_path, "doc.json", HEAVY_INTERIOR)
+    assert cli.main(["diagnose", path]) == 0
+    assert json.loads(capsys.readouterr().out)["friedrichs_constant"] == pytest.approx(1.0686e7, rel=1e-4)
+    assert cli.main(["solve", path, "--format", "structured"]) == 0
+    values = [row["value"] for row in json.loads(capsys.readouterr().out)["solution"]]
+    doc = load_document(path)
+    form = nlbvp.assemble_form(doc.kernel, doc.measure, doc.domain)
+    expected = np.linalg.solve(form.omega_block.toarray(), form.mass_omega * doc.f)
+    assert values == pytest.approx([*expected, 0.0], rel=1e-12)
+
+
 DISCONNECTED = {
     "family": "stencil",
     "dimension": 1,
@@ -474,6 +500,41 @@ def test_diagnose_graph_document(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["symmetry_defect"] == 0.0
     assert record["gamma_size"] == 2
+
+
+def test_diagnose_deflates_many_components_without_a_large_svd(tmp_path, capsys, monkeypatch):
+    """2,000 disjoint edges, each an interior and a boundary vertex: the
+    Poincare pencils deflate 2,000 components by their labels, with no
+    orthonormalization and no dense factorization of any matrix above 4 x 4."""
+
+    def small_only(name):
+        real = getattr(scipy.linalg, name)
+
+        def call(a, *args, **kwargs):
+            if max(np.shape(a)) > 4:
+                raise AssertionError(f"scipy.linalg.{name} ran on a {np.shape(a)} matrix")
+            return real(a, *args, **kwargs)
+
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.orth ran")
+
+    monkeypatch.setattr(scipy.linalg, "orth", refuse)
+    for name in ("null_space", "svd", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name, small_only(name))
+    data = {
+        "family": "graph",
+        "edges": [[2 * i, 2 * i + 1, 1.0] for i in range(2000)],
+        "omega": list(range(0, 4000, 2)),
+        "problem": {"kind": "dirichlet", "f": "1", "g": "0"},
+    }
+    assert cli.main(["diagnose", write_doc(tmp_path, "doc.json", data)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["nullspace_dim"] == 2000
+    assert record["friedrichs_constant"] == 1.0
+    assert record["poincare_constant_full"] == 0.5
+    assert record["poincare_constant_omega"] == 0.0
 
 
 # -- bench -------------------------------------------------------------------------

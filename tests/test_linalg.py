@@ -93,12 +93,24 @@ def test_smallest_eigenpairs_match_dense(rng):
 
 
 def test_smallest_eigenpairs_with_deflation(rng):
-    a = random_spd(15, rng)
-    masses = np.ones(15)
-    vals_all, vecs_all = smallest_eigenpairs(a, masses, count=2)
-    vals_rest, _ = smallest_eigenpairs(a, masses, count=1, deflate=vecs_all)
-    dense = scipy.linalg.eigh(a.toarray(), eigvals_only=True)
-    assert vals_rest[0] == pytest.approx(dense[2], rel=1e-8)
+    """Deflating the component labels of a Laplacian in 2-3 pieces, with random
+    weights and masses, leaves the eigenvalues above its kernel, as dense eigh
+    finds them: on the Lanczos path (5-6 nodes a piece) and on the dense one
+    (pieces of 1-2 nodes, one free dimension)."""
+    for sizes, count in (((5, 6), 2), ((4, 6, 5), 2), ((1, 2, 1), 1)):
+        blocks = []
+        for size in sizes:
+            weights = np.triu(rng.uniform(0.1, 1.0, (size, size)), 1)
+            weights += weights.T
+            blocks.append(np.diag(weights.sum(axis=1)) - weights)
+        a = sp.csr_matrix(scipy.linalg.block_diag(*blocks))
+        masses = rng.uniform(0.5, 2.0, size=a.shape[0])
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        vals, vecs = smallest_eigenpairs(a, masses, count=count, deflate=labels)
+        dense = scipy.linalg.eigh(a.toarray(), np.diag(masses), eigvals_only=True)
+        assert vals == pytest.approx(dense[len(sizes) : len(sizes) + count], rel=1e-8)
+        sums = np.array([np.bincount(labels, masses * v) for v in vecs.T])
+        assert_allclose(sums, 0.0, atol=1e-12)
 
 
 def test_smallest_eigenpairs_singular_matrix():
