@@ -110,6 +110,11 @@ def _gap_tol(matrix, masses):
     return NULLSPACE_TOL_FACTOR * max(float(np.max(diag / masses)) if diag.size else 0.0, 1e-300)
 
 
+def interior_tol(form):
+    """Gap tolerance of the interior block, shared by the Friedrichs and Dirichlet gates."""
+    return _gap_tol(form.omega_block, form.mass_omega)
+
+
 def nullspace(form, tol=None):
     """Basis of the numerical kernel of the form: its component labelling.
 
@@ -123,10 +128,9 @@ def nullspace(form, tol=None):
     only by such couplings counts as a kernel direction of its own.  The
     count can fall short of the number of pencil eigenvalues below tol only
     when the kept couplings form a graph whose own spectral gap is below
-    tol.  The default tolerance
-    is NULLSPACE_TOL_FACTOR times the largest mass-scaled diagonal entry;
-    the form keeps its default-tolerance basis.  Components are numbered in
-    the order of their first node.
+    tol.  The default tolerance is NULLSPACE_TOL_FACTOR times the largest
+    mass-scaled diagonal entry; the form keeps its default-tolerance basis.
+    Components are numbered in the order of their first node.
     """
     n = form.n
     default = _gap_tol(form.matrix, form.mass_diag)
@@ -197,7 +201,7 @@ def friedrichs_constant(form, return_inverse=False):
     )
     witness = np.zeros(form.n)
     witness[:m] = vec[:, 0]
-    report = _gap_report(lam, witness, _gap_tol(form.omega_block, form.mass_omega))
+    report = _gap_report(lam, witness, interior_tol(form))
     return (report, inverse) if return_inverse else report
 
 
@@ -212,7 +216,9 @@ def _gap_report(lam, witness, tolerance):
 
 
 def _poincare_full(form, basis):
-    lam, vec = linalg.smallest_eigenpairs(form.matrix, form.mass_diag, deflate=basis._spanned_labels())
+    lam, vec = linalg.smallest_eigenpairs(
+        form.matrix, form.mass_diag, count=1, deflate=basis._spanned_labels()
+    )
     witness = vec[:, 0] if lam.size else np.zeros(form.n)
     return _gap_report(lam, witness, basis.tolerance)
 
@@ -237,7 +243,9 @@ def _poincare_omega(form, basis):
     y = form.gamma_block.copy()  # Y: A_og's data scaled
     y.data *= np.sqrt(inverse_gg)[y.indices]
     schur = form.omega_block - y @ y.T
-    lam, vec = linalg.smallest_eigenpairs(schur, form.mass_omega, deflate=basis._spanned_labels()[:m])
+    lam, vec = linalg.smallest_eigenpairs(
+        schur, form.mass_omega, count=1, deflate=basis._spanned_labels()[:m]
+    )
     interior = vec[:, 0] if lam.size else np.zeros(m)
     witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])
     return _gap_report(lam, witness, basis.tolerance)

@@ -13,13 +13,9 @@ Two workhorses live here:
   one sparse LU factorization per call of the pencil, scaled and shifted on
   its CSR arrays, for ARPACK's shift-invert Lanczos, deflated by a component
   labelling in one `bincount`.  On request the factorization is handed back
-  as the solve of the shifted pencil A + s D, a preconditioner for A.
-  The Lanczos basis holds 2 count + 4 vectors and stops once every Ritz
-  residual is at most EIGEN_TOL relative to its Ritz value: for a symmetric
-  pencil the Ritz value's error is bounded by residual^2 / gap (Kato-Temple),
-  so the eigenvalues come out to rounding well before the vectors do.  Each
-  eigenvalue returned is its vector's Rayleigh quotient, which carries none
-  of the error of the back-transform 1 / theta - s.
+  as the solve of the shifted pencil A + s D, a preconditioner for A.  Its
+  stopping rule and the accuracy of its eigenvalues are set out in
+  `smallest_eigenpairs`.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
 """

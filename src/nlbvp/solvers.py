@@ -10,8 +10,8 @@ the loop; one shift along the nullspace then gives the mass-orthogonal
 representative and removes any kernel component the iterate picked up.
 
 Each solve first checks well-posedness on the kept-coupling components of
-the form's graph (`analysis.nullspace`'s rule; the Dirichlet gate takes the
-interior block's tolerance), with no eigensolve: the kernel of a graph
+the form's graph (`analysis.nullspace`'s rule; the Dirichlet gate labels at
+`analysis.interior_tol`), with no eigensolve: the kernel of a graph
 Laplacian is spanned by its component indicators.
 
 All solves start from a deterministic vector (zeros unless overridden) so
@@ -95,14 +95,13 @@ def solve_dirichlet(problem, tol=DEFAULT_SOLVE_TOL, x0=None, preconditioner=None
     block's solve that `analysis.friedrichs_constant` returns on request.
 
     Raises FriedrichsViolated when the interior block is singular, that is,
-    when some component, labelled at the interior block's tolerance as the
-    Friedrichs constant is gated, holds an interior node but no boundary node
-    (every other interior row chains to a row coupled to the boundary), and
-    NoConvergence when CG stalls.
+    when some component, labelled at `analysis.interior_tol`, holds an
+    interior node but no boundary node (every other interior row chains to a
+    row coupled to the boundary), and NoConvergence when CG stalls.
     """
     form = problem.form
     m = form.domain.m
-    labels = analysis.nullspace(form, analysis._gap_tol(form.omega_block, form.mass_omega)).labels
+    labels = analysis.nullspace(form, analysis.interior_tol(form)).labels
     stranded = np.count_nonzero(~np.isin(labels[:m], labels[m:]))
     if stranded:
         raise FriedrichsViolated(

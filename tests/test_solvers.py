@@ -505,21 +505,37 @@ def spread_star_example():
     return form, np.concatenate([np.zeros(5), np.ones(3)])
 
 
+def stiff_chain_example():
+    """A four-node path whose one boundary node is the third, on masses
+    spanning 1e4: kappa(A_oo) is 6e6 and that of (A_oo + s M_o)^{-1} A_oo
+    is 9.  Rounding delays both CGs past the exact-arithmetic m = 3 steps:
+    Jacobi takes 4 and the factor 5."""
+    masses = np.logspace(-2.0, 2.0, 4)[[3, 2, 0, 1]]
+    weights = np.zeros((4, 4))
+    for i, j, w in [(0, 1, 0.03), (1, 2, 0.001), (2, 3, 0.002)]:
+        weights[i, j] = weights[j, i] = w
+    form = graph_form(weights * np.outer(masses, masses), masses, [0, 1, 3])
+    return form, np.array([0.0, 0.5, 0.9, 0.7])
+
+
 @example(spread_star_example())
+@example(stiff_chain_example())
 @settings(max_examples=300, deadline=None)
 @given(loaded_forms())
 def test_friedrichs_factor_preconditions_the_dirichlet_solve(loaded):
     """CG preconditioned by the Friedrichs eigensolve's factor of
     A_oo + s M_o meets the dense solution within the bound Jacobi CG meets,
     within CG's condition-number bound for (A_oo + s M_o)^{-1} A_oo
-    (`shifted_cg_steps`), and a load f <= 0 still puts no interior value
-    above the largest boundary value (see the two tests above for the
-    bounds).
+    (`shifted_cg_steps`) and within 2 m steps, and a load f <= 0 still puts
+    no interior value above the largest boundary value (see the two tests
+    above for the bounds).
 
-    The steps are not bounded by Jacobi's: Jacobi CG ends within as many
-    steps as D^{-1} A_oo has distinct eigenvalues, which can be fewer than
-    the factor's (`spread_star_example`).  The dense eigensolve path leaves
-    no factor, and then Jacobi runs."""
+    Exact CG ends within m steps; rounding on a stiff interior block delays
+    that (`stiff_chain_example`), and m more are allowed.  The steps are not
+    bounded by Jacobi's: Jacobi CG ends within as many steps as D^{-1} A_oo
+    has distinct eigenvalues, which can be fewer than the factor's
+    (`spread_star_example`).  The dense eigensolve path leaves no factor, and
+    then Jacobi runs."""
     form, load = loaded
     m = form.domain.m
     a = form.matrix.toarray()
@@ -532,7 +548,8 @@ def test_friedrichs_factor_preconditions_the_dirichlet_solve(loaded):
     kappa = condition_number(a[:m, :m])
     assert np.linalg.norm(reused.u[:m] - reference) <= 10.0 * kappa * TOL * np.linalg.norm(reference)
     assert np.array_equal(reused.u[m:], g)
-    assert inverse is None or reused.iterations <= shifted_cg_steps(a[:m, :m], form.mass_omega, TOL)
+    if inverse is not None:
+        assert reused.iterations <= min(shifted_cg_steps(a[:m, :m], form.mass_omega, TOL), 2 * m)
     if form.domain.l:
         u = solve_dirichlet(DirichletProblem(form, -np.abs(f), g), tol=TOL, preconditioner=inverse).u
         slack = 10.0 * kappa * TOL * max(1.0, np.linalg.norm(u[:m]))
