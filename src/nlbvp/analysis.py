@@ -274,23 +274,31 @@ def strong_poincare_check(basis):
     return basis.dimension == 1 and bool(np.all(basis.labels == basis.components[0]))
 
 
+def _indicator(n, ids):
+    """The 0/1 vector of the node set `ids`: K(x, S) = (K @ _indicator(n, S))[x]."""
+    indicator = np.zeros(n)
+    indicator[ids] = 1.0
+    return indicator
+
+
 def trace_weight(kernel, domain, variant="sufficient", c=None):
     """Boundary weight for the trace-space characterization.
 
     "sufficient": w(y) = K(y, Omega).
     "necessary":  w(y) = sum_{s in Omega} K(y,{s}) / (K(s, Gamma) + c), c > 0.
     """
-    to_omega = kernel.matrix[domain.gamma][:, domain.omega]
+    in_omega = _indicator(len(kernel), domain.omega)
+    rows = kernel.matrix[domain.gamma]
     if variant == "sufficient":
-        values = to_omega @ np.ones(domain.m)
-        return TraceWeight(values=values, variant=variant, c=None, domain=domain)
+        return TraceWeight(values=rows @ in_omega, variant=variant, c=None, domain=domain)
     if variant == "necessary":
         if c is None or c <= 0.0:
             raise NonPositiveC("the necessary trace weight needs a constant c > 0")
-        k_to_gamma = kernel.matrix[domain.omega][:, domain.gamma] @ np.ones(domain.l)
-        to_omega.data = to_omega.data / (k_to_gamma + c)[to_omega.indices]
-        values = to_omega @ np.ones(domain.m)
-        return TraceWeight(values=values, variant=variant, c=float(c), domain=domain)
+        k_to_gamma = kernel.matrix @ _indicator(len(kernel), domain.gamma)
+        # each entry K(y, {s}) over K(s, Gamma) + c, those off Omega zeroed
+        # first so that no quotient there can overflow against the indicator
+        rows.data = rows.data * in_omega[rows.indices] / (k_to_gamma + c)[rows.indices]
+        return TraceWeight(values=rows @ in_omega, variant=variant, c=float(c), domain=domain)
     raise ValueError(f"unknown trace-weight variant {variant!r}")
 
 
@@ -342,21 +350,17 @@ def friedrichs_chain_holds(kernel, domain, measure, partition):
     """Chain criterion for the Friedrichs inequality over an interior
     partition: the first cell must reach the boundary, every later cell must
     reach its predecessor, each with positive kernel mass at every node."""
-    omega_set = set(int(i) for i in domain.omega)
-    covered: set[int] = set()
-    cells = []
-    for cell in partition:
-        ids = set(int(i) for i in cell)
-        if not ids or not ids <= omega_set or ids & covered:
-            raise ValueError("partition must split the interior into disjoint non-empty cells")
-        covered |= ids
-        cells.append(ids)
-    if covered != omega_set:
+    n = len(kernel)
+    cells = [np.unique(np.fromiter(map(int, cell), dtype=int)) for cell in partition]
+    ids = np.concatenate([np.zeros(0, dtype=int), *cells])
+    disjoint = all(cell.size for cell in cells) and np.unique(ids).size == ids.size
+    if not disjoint or not np.isin(ids, domain.omega).all():
+        raise ValueError("partition must split the interior into disjoint non-empty cells")
+    if ids.size != domain.m:
         raise ValueError("partition must cover the interior")
     previous = domain.gamma
-    for ids in cells:
-        if np.min(kernel.matrix[sorted(ids)][:, sorted(previous)].sum(axis=1)) <= 0.0:
+    for cell in cells:
+        if np.min(kernel.matrix[cell] @ _indicator(n, previous)) <= 0.0:
             return False
-        previous = ids
+        previous = cell
     return True
-

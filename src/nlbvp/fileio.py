@@ -317,9 +317,7 @@ def load_document(source):
             measure = AtomicMeasure(points, masses)
             kernel = quadrature_kernel(density, delta, measure)
         elif family == "graph":
-            edges = [(int(i), int(j), float(c)) for i, j, c in _require(data, "edges")]
-            coords = data.get("nodes")
-            kernel, measure = graph_kernel(edges, coordinates=coords)
+            kernel, measure = graph_kernel(_require(data, "edges"), coordinates=data.get("nodes"))
         else:
             raise DocumentError(f"unknown kernel family {family!r}")
         omega = _require(data, "omega")

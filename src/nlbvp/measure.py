@@ -211,7 +211,7 @@ class TransitionKernel:
     diagonal.
     """
 
-    def __init__(self, support, family, params=None):
+    def __init__(self, support, family):
         if sp.issparse(support):
             matrix = sp.csr_matrix(support, dtype=float)
         else:
@@ -222,7 +222,6 @@ class TransitionKernel:
         matrix.sum_duplicates()  # canonical CSR: rows ascending by target
         self.matrix = matrix
         self.family = family
-        self.params = dict(params or {})
         rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
         finite = np.isfinite(matrix.data)
         bad = np.flatnonzero(~finite | (matrix.data < 0.0) | (matrix.indices == rows))
@@ -381,7 +380,7 @@ def stencil_kernel(d, h, measure):
         )
     rows, cols = i[hits], j[hits]
     matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(pts),) * 2)
-    return TransitionKernel(matrix, "stencil", {"d": d, "h": h})
+    return TransitionKernel(matrix, "stencil")
 
 
 def graph_kernel(edges, coordinates=None):
@@ -429,8 +428,7 @@ def graph_kernel(edges, coordinates=None):
         raise IsolatedVertex(f"vertex {np.flatnonzero(degrees == 0.0)[0]} has no incident edge")
     matrix.data /= np.repeat(degrees, np.diff(matrix.indptr))
     measure = AtomicMeasure(coordinates, degrees)
-    kernel = TransitionKernel(matrix, "graph", {"conductances": conductances})
-    return kernel, measure
+    return TransitionKernel(matrix, "graph"), measure
 
 
 def quadrature_kernel(gamma, delta, measure):
@@ -449,31 +447,28 @@ def quadrature_kernel(gamma, delta, measure):
     attribute as `fileio.radial_density` returns, or a (p, q) density.  A
     radial density takes the array of pair distances r and is called once;
     r is summed axis by axis and rooted, the bits `np.linalg.norm` gives, and
-    each value serves both orientations of its pair, so it needs no symmetry
-    check.  A (p, q) density is probed in both orientations, either pair by
-    pair or, when `gamma.vectorized` is true, once per orientation on
-    coordinate-major stacks of shape (d, k) (see `_sample`).
+    each value serves both orientations of its pair, so the symmetry check
+    passes it on every pair.  A (p, q) density is probed in both
+    orientations, either pair by pair or, when `gamma.vectorized` is true,
+    once per orientation on coordinate-major stacks of shape (d, k) (see
+    `_sample`).
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"interaction radius delta must be positive and finite, got {delta}")
     pts = measure.points
     i, j = _close_pairs(pts, delta + measure.lookup_tol)
-    radial = getattr(gamma, "radial", False)
-    if radial:
+    if getattr(gamma, "radial", False):
         g_ij = g_ji = gamma(np.sqrt(sum((axis[i] - axis[j]) ** 2 for axis in pts.T)))
     else:
         p, q = pts[i], pts[j]
         g_ij, g_ji = _sample(gamma, p, q), _sample(gamma, q, p)
-    finite = np.isfinite(g_ij) if radial else np.isfinite(g_ij) & np.isfinite(g_ji)
-    nonfinite = np.flatnonzero(~finite)
+    nonfinite = np.flatnonzero(~(np.isfinite(g_ij) & np.isfinite(g_ji)))
     if nonfinite.size:
         k = nonfinite[0]
         raise ValueError(f"density is not finite on pair ({i[k]}, {j[k]}): {g_ij[k]}, {g_ji[k]}")
-    negative = failing = g_ij < 0.0 if radial else (g_ij < 0.0) | (g_ji < 0.0)
-    if not radial:
-        scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
-        failing = negative | (np.abs(g_ij - g_ji) > DENSITY_SYMMETRY_TOL * scale)
-    failing = np.flatnonzero(failing)
+    negative = (g_ij < 0.0) | (g_ji < 0.0)
+    scale = np.maximum(1.0, np.maximum(np.abs(g_ij), np.abs(g_ji)))
+    failing = np.flatnonzero(negative | (np.abs(g_ij - g_ji) > DENSITY_SYMMETRY_TOL * scale))
     if failing.size:
         k = failing[0]
         if negative[k]:
@@ -487,7 +482,7 @@ def quadrature_kernel(gamma, delta, measure):
         weights = np.r_[g_ji * measure.masses[i], g_ij * measure.masses[j]]
     matrix = sp.csr_matrix((weights, (np.r_[j, i], np.r_[i, j])), shape=(len(pts),) * 2)
     matrix.eliminate_zeros()  # a weight that is exactly zero is no atom
-    return TransitionKernel(matrix, "quadrature", {"delta": delta})
+    return TransitionKernel(matrix, "quadrature")
 
 
 def symmetry_defect(kernel, measure):

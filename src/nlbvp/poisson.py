@@ -255,6 +255,7 @@ def graph_bvp_demo(edges, omega_vertices, f, tol=1e-12):
     Before solving, the assembled system is verified against the direct
     block rules (degree on the diagonal, minus the conductance off it).
     """
+    edges = list(edges)  # read once: for the kernel and for the check below
     kernel, measure = graph_kernel(edges)
     n_vertices = len(measure)
     if csgraph.connected_components(kernel.matrix, directed=False)[0] != 1:
@@ -265,9 +266,9 @@ def graph_bvp_demo(edges, omega_vertices, f, tol=1e-12):
     domain = nonlocal_boundary(kernel, omega, measure)
     form = assemble_form(kernel, measure, domain)
     m, order = domain.m, domain.order
-    conductances = kernel.params["conductances"]
-    (i, j), c = np.array(list(conductances), dtype=int).T, list(conductances.values())
-    conductance = sp.csr_matrix((c + c, (np.r_[i, j], np.r_[j, i])), shape=(n_vertices,) * 2)
+    i, j, c = np.array(edges, dtype=float).T
+    i, j = i.astype(int), j.astype(int)
+    conductance = sp.csr_matrix((np.r_[c, c], (np.r_[i, j], np.r_[j, i])), shape=(n_vertices,) * 2)
     conductance = conductance[order[:m]][:, order]
     rows = form.matrix[:m]
     degree = measure.masses[order[:m]]

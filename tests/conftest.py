@@ -110,10 +110,15 @@ def couplings_separated(form):
 
 
 @st.composite
-def quadrature_setups(draw):
+def quadrature_setups(draw, coupled=False):
     """(kernel, measure, domain) of a `point_clouds` quadrature kernel on at
-    most 12 distinct nodes."""
+    most 12 distinct nodes.  With `coupled`, node 0 sits at the origin and
+    node 1 at t <= min(delta, 0.3) from it along the first axis, where the
+    density 1 + bend t - t^2 is at least 0.31, so the kernel couples them."""
     points, masses, delta, density, omega, _ = draw(point_clouds(max_nodes=12))
+    if coupled:
+        points[:2] = 0.0
+        points[1, 0] = draw(st.floats(0.01, min(delta, 0.3)))
     gaps = np.linalg.norm(points[:, None] - points[None], axis=-1)
     assume(gaps[~np.eye(len(points), dtype=bool)].min() > 1e-9)
     measure = AtomicMeasure(points, masses)
@@ -131,15 +136,17 @@ def quadrature_forms(draw):
 
 
 @st.composite
-def stencil_setups(draw):
+def stencil_setups(draw, coupled=False):
     """(kernel, measure, domain) of the step-1/k stencil kernel on a random
     subset of the lattice nodes of [0, 1]^d (d = 1 or 2), with equal masses,
     so that some nodes lose neighbours and the coupling graph may fall
-    apart."""
+    apart.  With `coupled`, the subset holds lattice nodes 0 and 1, which
+    are neighbours along the last axis."""
     d = draw(st.integers(1, 2))
     k = draw(st.integers(1, 10 if d == 1 else 3))
     lattice = np.array(list(itertools.product(np.arange(k + 1) / k, repeat=d)))
-    keep = sorted(draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, unique=True)))
+    keep = draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, unique=True))
+    keep = sorted(set(keep) | ({0, 1} if coupled else set()))
     mass = draw(st.floats(0.5, 2.0))
     measure = AtomicMeasure(lattice[keep], np.full(len(keep), mass))
     kernel = stencil_kernel(d, 1.0 / k, measure)

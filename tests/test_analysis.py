@@ -537,6 +537,14 @@ def test_continuous_functional_flags_tiny_weight():
     assert record.weighted_sum == 0.0
 
 
+def test_continuous_functional_on_empty_gamma():
+    measure = AtomicMeasure([[0.0], [1.0]])
+    kernel = TransitionKernel([[], []], "quadrature")
+    weight = trace_weight(kernel, nonlocal_boundary(kernel, [0], measure), variant="sufficient")
+    record = continuous_functional_check(np.zeros(0), weight, measure)
+    assert (record.weighted_sum, record.min_weight, record.ill_conditioned) == (0.0, np.inf, False)
+
+
 # -- maximum principle ---------------------------------------------------------------
 
 

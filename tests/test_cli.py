@@ -54,6 +54,18 @@ def test_load_document_builds_domain(tmp_path):
     assert doc.kind is None
 
 
+def test_load_document_takes_a_parsed_dict(tmp_path):
+    data = interval_doc({"kind": "dirichlet", "f": "x", "g": "1"})
+    from_dict, from_file = load_document(data), load_document(write_doc(tmp_path, "doc.json", data))
+    assert np.array_equal(from_dict.domain.order, from_file.domain.order)
+    assert np.array_equal(from_dict.f, from_file.f) and np.array_equal(from_dict.g, from_file.g)
+
+
+def test_load_document_missing_loads_are_zero():
+    doc = load_document(interval_doc({"kind": "dirichlet"}))
+    assert np.array_equal(doc.f, np.zeros(3)) and np.array_equal(doc.g, np.zeros(2))
+
+
 def test_load_document_expression_data(tmp_path):
     data = interval_doc({"kind": "dirichlet", "f": "sin(pi*x)", "g": "0"})
     doc = load_document(write_doc(tmp_path, "doc.json", data))
@@ -321,6 +333,11 @@ def test_solve_empty_omega_exits_1(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
+def test_solve_without_problem_block_exits_1(tmp_path, capsys):
+    assert cli.main(["solve", write_doc(tmp_path, "doc.json", interval_doc())]) == 1
+    assert "no problem block" in capsys.readouterr().err
+
+
 def test_solution_roundtrip_bitwise(tmp_path, capsys):
     data = interval_doc({"kind": "dirichlet", "f": "sin(pi*x)", "g": "cos(3*x)"})
     path = write_doc(tmp_path, "doc.json", data)
@@ -572,6 +589,19 @@ def test_bench_invalid_step(tmp_path, capsys):
     assert cli.main(["bench", "--d", "2", "--h", "0"]) == 1
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 4 and all(line.startswith("error: ") for line in errors)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--d", "2", "--h", "1/4", "--exact", "quadratic"], "one-dimensional"),
+        (["--d", "1", "--h", " , "], "empty step list"),
+    ],
+)
+def test_bench_refusals_exit_1(capsys, argv, message):
+    assert cli.main(["bench", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_bench_writes_report_and_plot_data(tmp_path):

@@ -313,6 +313,14 @@ def test_discrete_max_principle_constant_vector():
     assert discrete_max_principle_check(reduced, np.ones(5), 3, 5) is True
 
 
+def test_discrete_max_principle_vacuous_when_premise_fails():
+    """A bump at an interior node has (A u)_i > 0 there: the premise fails, so
+    the check holds although the interior maximum exceeds the boundary's."""
+    grid = unit_cube_grid(1, 0.25)
+    reduced = build_stiffness(grid).a_neumann[: grid.m, :]
+    assert discrete_max_principle_check(reduced, np.eye(5)[1], 3, 5) is True
+
+
 def test_discrete_max_principle_derived_solution():
     grid, form = interval_setup(0.25)
     pair = build_stiffness(grid)

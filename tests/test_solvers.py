@@ -1,6 +1,7 @@
 """Dirichlet/Neumann solves, regularized solves, and strong-form recovery."""
 
 import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse import csgraph
 
 import nlbvp
 from nlbvp import (
@@ -38,14 +40,18 @@ from nlbvp.errors import (
     PoincareViolated,
     SingularAfterRegularization,
 )
+from nlbvp.fileio import load_document
 from nlbvp.analysis import friedrichs_constant, max_principle_check
 
 from conftest import (
+    couplings_separated,
     disconnected_setup,
     interval_setup,
     quadrature_forms,
+    quadrature_setups,
     square_setup,
     stencil_forms,
+    stencil_setups,
     three_node_setup,
 )
 
@@ -336,23 +342,31 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
 # -- solutions against dense oracles ----------------------------------------------
 
 
+def graph_setup(weights, masses):
+    """(kernel, measure) of the kernel W[i, j] / masses[i] on nodes 0..n-1."""
+    measure = AtomicMeasure([[float(i)] for i in range(len(masses))], masses)
+    return TransitionKernel(sp.csr_matrix(weights / masses[:, None]), "quadrature"), measure
+
+
 def graph_form(weights, masses, omega):
     """The assembled form of the kernel W[i, j] / masses[i] on nodes 0..n-1."""
-    n = len(masses)
-    measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
-    kernel = TransitionKernel(sp.csr_matrix(weights / masses[:, None]), "quadrature")
+    kernel, measure = graph_setup(weights, masses)
     return assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
 
 
 @st.composite
+def spread_masses(draw, n):
+    """n node masses spanning 1e4: log-spaced over [1e-2, 1e2], in random order."""
+    return np.logspace(-2.0, 2.0, n)[draw(st.permutations(range(n)))]
+
+
+@st.composite
 def spread_graph_forms(draw):
-    """The form of a `gated_graphs` graph whose node masses span 1e4 (log-spaced
-    over [1e-2, 1e2], in random order) and whose pair weights W_ij m_i m_j scale
-    with both masses, as a quadrature kernel's do: the form's diagonal spans
-    orders of magnitude."""
+    """The form of a `gated_graphs` graph on `spread_masses` whose pair weights
+    W_ij m_i m_j scale with both masses, as a quadrature kernel's do: the
+    form's diagonal spans orders of magnitude."""
     weights, _, omega = draw(gated_graphs())[:3]
-    n = len(weights)
-    masses = np.logspace(-2.0, 2.0, n)[draw(st.permutations(range(n)))]
+    masses = draw(spread_masses(len(weights)))
     return graph_form(weights * np.outer(masses, masses), masses, omega)
 
 
@@ -368,6 +382,40 @@ def loaded_forms(draw):
     return form, np.array(load)
 
 
+@st.composite
+def dirichlet_loaded_forms(draw):
+    """A form of the `loaded_forms` families whose kernel couples nodes 0 and 1,
+    with an interior set that leaves out one node of every component of the
+    kernel's coupling graph, and a load in [-1, 1] at every node of the form.
+
+    An interior component of such a set has a coupling out of it, to a node
+    outside the set, which the split puts in the boundary: the boundary is
+    non-empty and every interior node chains to it.  No family's coupling is
+    weak at the interior tolerance (a quadrature kernel's by the separation
+    filter of `quadrature_forms`), so the interior block is nonsingular."""
+    family = draw(st.sampled_from(("graph", "spread graph", "quadrature", "stencil")))
+    if family == "quadrature":
+        kernel, measure = draw(quadrature_setups(coupled=True))[:2]
+    elif family == "stencil":
+        kernel, measure = draw(stencil_setups(coupled=True))[:2]
+    else:
+        weights, masses = draw(gated_graphs())[:2]
+        weights[0, 1] = weights[1, 0] = draw(st.floats(1e-3, 1.0))
+        if family == "spread graph":
+            masses = draw(spread_masses(len(masses)))
+            weights = weights * np.outer(masses, masses)
+        kernel, measure = graph_setup(weights, masses)
+    labels = csgraph.connected_components(kernel.matrix, directed=False)[1]
+    anchors = [draw(st.sampled_from(np.flatnonzero(labels == c).tolist())) for c in np.unique(labels)]
+    inner = np.setdiff1d(np.arange(len(measure)), anchors).tolist()
+    omega = draw(st.lists(st.sampled_from(inner), min_size=1, unique=True))
+    form = assemble_form(kernel, measure, nonlocal_boundary(kernel, omega, measure))
+    if family == "quadrature":
+        assume(couplings_separated(form))
+    load = draw(st.lists(st.floats(-1.0, 1.0), min_size=form.n, max_size=form.n))
+    return form, np.array(load)
+
+
 def condition_number(matrix):
     """Ratio of the largest to the smallest eigenvalue of a dense symmetric
     positive definite matrix."""
@@ -378,6 +426,18 @@ def condition_number(matrix):
 TOL = 1e-12
 
 
+def lone_loaded_node_example():
+    """Node 1 is a component of its own and carries the whole load e_1: the
+    compatible load is rounding noise in the kernel, and the solve returns
+    u = 0 exactly, while `lstsq` on the unprojected load returns SVD noise."""
+    masses = np.logspace(-2.0, 2.0, 11)[[1, 2, 3, 4, 10]]
+    weights = np.zeros((5, 5))
+    for i, j, w in [(0, 2, 6.220424539898395e-05), (2, 4, 15.84893192461114), (3, 4, 39.810717055349734)]:
+        weights[i, j] = weights[j, i] = w
+    return graph_form(weights, masses, [0, 1, 2, 3]), np.eye(5)[1]
+
+
+@example(lone_loaded_node_example())
 # subnormal loads: each product rounds to the subnormal grid
 @example((graph_form(np.array([[0.0, 0.375], [0.375, 0.0]]), np.array([1.0, 0.5]), [0]), np.full(2, 2.2250738585e-313)))
 @settings(max_examples=300, deadline=None)
@@ -402,7 +462,14 @@ def test_neumann_matches_dense_least_squares(loaded):
     dense = load - w[:, reached] @ np.linalg.solve(gram, w[:m, reached].T @ (mass[:m] * load[:m]))
     assert np.max(np.abs(project_out_kernel(load, basis, form.measure) - dense)) <= rounding
     load = load - w @ (w.T @ (mass * load))  # compatible: pairs with no kernel vector
-    reference = np.linalg.lstsq(a, mass * load, rcond=None)[0]
+    # the range projection (by QR), on which the dense reference is solved: a
+    # load that lies in the kernel up to rounding then has the reference 0
+    b = mass * load
+    q = np.linalg.qr(w)[0]
+    projected = b - q @ (q.T @ b)
+    if 2.0 * (projected @ projected) < b @ b:
+        projected -= q @ (q.T @ projected)
+    reference = np.linalg.lstsq(a, projected, rcond=None)[0]
     reference -= w @ (w.T @ (mass * reference))
     solves = []
     conjugate_gradient = nlbvp.linalg.conjugate_gradient
@@ -414,13 +481,8 @@ def test_neumann_matches_dense_least_squares(loaded):
 
     with mock.patch.object(nlbvp.linalg, "conjugate_gradient", recording):
         u = solve_neumann(NeumannProblem(form, load[:m], load[m:]), basis, tol=TOL).u
-    # the range projection (by QR) and the mass-orthogonal shift, densely
+    # the range projection and the mass-orthogonal shift, densely
     rhs, x = solves[0]
-    b = mass * load
-    q = np.linalg.qr(w)[0]
-    projected = b - q @ (q.T @ b)
-    if 2.0 * (projected @ projected) < b @ b:
-        projected -= q @ (q.T @ projected)
     assert np.linalg.norm(rhs - projected) <= rounding * np.linalg.norm(b)
     shifted = x - w @ (w.T @ (mass * x))
     assert np.max(np.abs(u - shifted)) <= rounding * np.max(np.abs(x), initial=0.0)
@@ -457,18 +519,13 @@ def test_dirichlet_matches_dense_solve(loaded):
 
 
 @settings(max_examples=300, deadline=None)
-@given(loaded_forms())
+@given(dirichlet_loaded_forms())
 def test_dirichlet_solutions_obey_the_max_principle(loaded):
     """A load f <= 0 puts no interior value above the largest boundary value,
     up to the error CG's relative-residual stop allows: kappa * TOL * ||u||."""
     form, load = loaded
     m = form.domain.m
-    assume(form.domain.l > 0)
-    problem = DirichletProblem(form, -np.abs(load[:m]), load[m:])
-    try:
-        u = solve_dirichlet(problem, tol=TOL).u
-    except FriedrichsViolated:
-        assume(False)
+    u = solve_dirichlet(DirichletProblem(form, -np.abs(load[:m]), load[m:]), tol=TOL).u
     kappa = condition_number(form.matrix.toarray()[:m, :m])
     slack = 10.0 * kappa * TOL * max(1.0, np.linalg.norm(u[:m]))
     assert np.max(u[:m]) <= np.max(u[m:]) + slack
@@ -561,6 +618,84 @@ def test_dirichlet_no_convergence_names_the_solve(rng):
     problem = DirichletProblem(form, rng.standard_normal(grid.m), rng.standard_normal(grid.l))
     with pytest.raises(NoConvergence, match=rf"^dirichlet solve on {form.n} nodes: CG stagnated .* size-{grid.m} system"):
         solve_dirichlet(problem, tol=1e-18)
+
+
+# -- the quadratic patch test of the quadrature kernel -----------------------------
+
+PATCH_DENSITIES = {
+    "exp(-r*r)": lambda r: np.exp(-r * r),
+    "1": lambda r: np.ones_like(r),
+    "1/(1+r)": lambda r: 1.0 / (1.0 + r),
+}
+
+
+def second_moment(density, d, h, reach):
+    """M2 = sum_k gamma(h |k|) h^d (h k_1)^2 over the integer offsets k with
+    |k| <= reach, from the density's closed form."""
+    k = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)))
+    k = k[(k * k).sum(axis=1) <= reach * reach]
+    gamma = PATCH_DENSITIES[density](h * np.sqrt((k * k).sum(axis=1)))
+    return float(np.sum(gamma * h**d * (h * k[:, 0]) ** 2))
+
+
+@pytest.mark.parametrize(
+    "d, n_axis, reach, density, exact",
+    [
+        (1, 16, 1, "exp(-r*r)", "x*x"),
+        (1, 24, 2, "1", "x*x"),
+        (1, 40, 3, "1/(1+r)", "x*x"),
+        (2, 16, 1, "1/(1+r)", "x*y"),
+        (2, 12, 2, "exp(-r*r)", "x*y"),
+        (2, 20, 3, "1", "x*x"),
+        (3, 8, 1, "1", "x*x"),
+        (3, 12, 2, "exp(-r*r)", "x*y"),
+        (3, 16, 3, "exp(-r*r)", "x*x"),
+        # a search at delta without the lookup tolerance keeps every pair at
+        # delta for h = 1/16 but loses some at h = 1/24
+        (3, 24, 3, "exp(-r*r)", "x*x"),
+    ],
+)
+def test_quadrature_dirichlet_solve_is_exact_on_quadratics(d, n_axis, reach, density, exact):
+    """The patch test: on the step-h lattice of [0, 1]^d with masses h^d and
+    delta = reach h, an interior node x whose delta-ball lies inside the
+    lattice sees every offset k with |k| <= reach, so the odd moments cancel:
+    L(x_1^2)(x) = sum_y K(x, {y}) (x_1^2 - y_1^2) = -M2 and L(x_1 x_2)(x) = 0.
+    The Dirichlet problem with f = -M2 (or 0) and g the quadratic on Gamma
+    then has the quadratic itself as its solution.
+
+    CG stops at ||b - A x|| <= TOL ||b|| <= TOL ||A|| ||u||, so the error is at
+    most kappa TOL ||u||, kappa the condition number of A = A_oo, times 10 for
+    the rounding of the assembled system.  Gershgorin bounds the largest
+    eigenvalue by the largest absolute row sum.  The same cancellation gives,
+    for v = d/2 - |x - 1/2|^2 (positive on every node), (A v)(x) =
+    m_x (d M2 + sum_{y in Gamma} K(x, {y}) v(y)) > 0: A is a nonsingular
+    M-matrix, and its smallest eigenvalue is at least min (A v) / v
+    (Collatz-Wielandt on the nonnegative A^{-1})."""
+    h = 1.0 / n_axis
+    lattice = np.array(list(itertools.product(range(n_axis + 1), repeat=d)))
+    inside = np.all((lattice >= reach) & (lattice <= n_axis - reach), axis=1)
+    load = repr(-second_moment(density, d, h, reach)) if exact == "x*x" else "0"
+    doc = load_document({
+        "family": "quadrature",
+        "dimension": d,
+        "delta": reach * h,
+        "gamma": density,
+        "nodes": np.c_[lattice * h, np.full(len(lattice), h**d)].tolist(),
+        "omega": np.flatnonzero(inside).tolist(),
+        "problem": {"kind": "dirichlet", "f": load, "g": exact},
+    })
+    form = assemble_form(doc.kernel, doc.measure, doc.domain)
+    solution = solve_dirichlet(DirichletProblem(form, doc.f, doc.g), tol=TOL)
+    assert solution.residual <= TOL  # the relative-residual stop, not the backward-error one
+    u = solution.u[: form.domain.m]
+    x = doc.measure.points[doc.domain.omega]
+    quadratic = x[:, 0] * x[:, 0] if exact == "x*x" else x[:, 0] * x[:, 1]
+    a = form.omega_block
+    v = d / 2.0 - ((x - 0.5) ** 2).sum(axis=1)
+    applied = a @ v
+    assert np.all(applied > 0.0)
+    kappa = abs(a).sum(axis=1).max() / np.min(applied / v)
+    assert np.linalg.norm(u - quadratic) <= 10.0 * kappa * TOL * np.linalg.norm(quadratic)
 
 
 # -- strong residuals --------------------------------------------------------------
