@@ -48,6 +48,9 @@ class AssembledForm:
     mass_omega   : node masses restricted to the interior block
     symmetry_defect : the kernel's symmetry defect, checked at assembly
     nullspace    : the default-tolerance `analysis.nullspace` basis, once computed
+    shared_order : (pencil, order), the elimination order of the interior
+                   pattern the spectral pencils share and the pencil that
+                   computed it (see `analysis`), once computed
     """
 
     matrix: sp.csr_matrix
@@ -59,6 +62,7 @@ class AssembledForm:
     measure: object
     symmetry_defect: float
     nullspace: object = field(default=None, init=False, repr=False, compare=False)
+    shared_order: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):

@@ -12,9 +12,11 @@ Two workhorses live here:
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization per call of the pencil, scaled and shifted on
   its CSR arrays, for ARPACK's shift-invert Lanczos, deflated by a component
-  labelling in one `bincount`.  On request the factorization is handed back
-  as the solve of the shifted pencil A + s D, a preconditioner for A.  Its
-  stopping rule and the accuracy of its eigenvalues are set out in
+  labelling in one `bincount`.  The LU eliminates in a multiple minimum
+  degree (MMD) order of the pencil's own pattern, or in an order the caller
+  hands in.  On request the order used and the factorization are handed back, the
+  latter as the solve of the shifted pencil A + s D, a preconditioner for A.
+  Its stopping rule and the accuracy of its eigenvalues are set out in
   `smallest_eigenpairs`.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
@@ -149,7 +151,9 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
     )
 
 
-def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=False):
+def smallest_eigenpairs(
+    matrix, masses, count=1, deflate=None, return_inverse=False, order=None, return_order=False
+):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
     Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
@@ -160,7 +164,12 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
     `bincount`, skipped when nothing is deflated.  B + s I, s = 1e-6 ||B||_inf
     added on the diagonal, is factored once by `splu`, and ARPACK's
     shift-invert Lanczos (`eigsh`, sigma = -s) runs on that factorization from
-    a fixed start vector.  Its Krylov basis holds min(free, 2 count + 4)
+    a fixed start vector.  The factorization eliminates the nodes in a
+    multiple minimum degree order of the pattern of A + A^T (SuperLU's
+    MMD_AT_PLUS_A), or, when `order` is given (node ids, the first eliminated
+    first), it factors B + s I permuted symmetrically to `order` in its
+    natural order: a fill-reducing order computed once serves every pencil
+    of its pattern.  Its Krylov basis holds min(free, 2 count + 4)
     vectors (6 for one pair; free = n - deflated components) and it stops
     when each Ritz residual is at most EIGEN_TOL times its Ritz value.  The
     Ritz value's relative error is then at most about EIGEN_TOL^2 over the
@@ -174,11 +183,13 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
 
     With `return_inverse` the factorization outlives the call as a third
     value, the function r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r
-    (no deflation applied), or None when the dense path answered.
+    (no deflation applied), or None when the dense path answered.  With
+    `return_order` the elimination order the factorization used follows, in
+    the form `order` takes, or None when the dense path answered.
 
     Returns
     -------
-    (eigenvalues, vectors) or (eigenvalues, vectors, inverse)
+    (eigenvalues, vectors), then inverse and order as requested
         Eigenvalues ascending; vectors D-orthonormal, one column each.
     """
     n = matrix.shape[0]
@@ -204,21 +215,29 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
         values, coords = scipy.linalg.eigh(complement.T @ (b[kept][:, kept] @ complement))
         values, vectors = values[:count], np.zeros((n, count))
         vectors[kept] = complement @ coords[:, :count]
-        shifted_inverse = None
+        shifted_inverse = order = None
     else:
         filled = np.flatnonzero(np.diff(matrix.indptr))  # ||B||_inf: the largest row sum of |B|
         shift = 1e-6 * np.add.reduceat(np.abs(data), matrix.indptr[filled]).max(initial=0.0) + 1e-30
         b.setdiag(b.diagonal() + shift)  # B + sI; given OPinv, eigsh reads only its shape
         # B + sI is symmetric positive definite: a symmetric fill-reducing
         # ordering with diagonal pivots needs no row interchanges
-        factor = spla.splu(
-            b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
+        pivots = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+        if order is None:
+            factor = spla.splu(b, permc_spec="MMD_AT_PLUS_A", **pivots)
+            order, solve = np.argsort(factor.perm_c), factor.solve
+        else:  # B + sI permuted symmetrically, then factored in that order
+            factor = spla.splu(b[order][:, order], permc_spec="NATURAL", **pivots)
+
+            def solve(x):
+                y = np.empty_like(x)
+                y[order] = factor.solve(x[order])
+                return y
 
         def project(x):
             return x - weight * np.bincount(ids, weight * x)[ids] if free < n else x
 
-        inverse = spla.LinearOperator((n, n), lambda x: project(factor.solve(project(x))), dtype=float)
+        inverse = spla.LinearOperator((n, n), lambda x: project(solve(project(x))), dtype=float)
         start = project(np.random.default_rng(0).standard_normal(n))
         try:
             values, vectors = spla.eigsh(
@@ -232,12 +251,10 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
         vectors = vectors[:, np.argsort(values)]
 
         def shifted_inverse(r):
-            return scale * factor.solve(scale * r)
+            return scale * solve(scale * r)
 
     vectors = vectors * scale[:, None]
     # each vector's Rayleigh quotient, free of the back-transform's error
     energy = np.sum(vectors * (matrix @ vectors), axis=0)
     values = energy / np.sum(vectors**2 * masses[:, None], axis=0)
-    if return_inverse:
-        return values, vectors, shifted_inverse
-    return values, vectors
+    return (values, vectors) + (shifted_inverse,) * return_inverse + (order,) * return_order

@@ -82,7 +82,8 @@ def _close_pairs(points, radius):
     neighbour, so each unordered pair is met once.  A rank step along an axis
     is taken only when the two cells' coordinate extents on that axis come
     within `radius` (`_axis_cells`), so rank steps over empty cells add no
-    candidates.  The squared coordinate differences are summed in axis order
+    candidates, and an offset is skipped when it steps along an axis where no
+    step is taken.  The squared coordinate differences are summed in axis order
     and rooted, which gives the same bits as `np.linalg.norm` over the
     difference columns; any pair it keeps differs by at most `radius` on
     every axis, so the step rule drops none.
@@ -103,6 +104,8 @@ def _close_pairs(points, radius):
     coords = np.ascontiguousarray(points[by_cell].T)  # nodes in cell order
     keys = []
     for offset in list(itertools.product((-1, 0, 1), repeat=d))[3**d // 2 :]:
+        if any(o and not step.any() for o, step in zip(offset, steps)):
+            continue  # no rank step along that axis is taken
         allowed = np.ones(cell_ids.size, dtype=bool)
         for rank, step, o in zip(cell_ranks, steps, offset):
             if o:

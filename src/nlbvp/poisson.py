@@ -98,7 +98,7 @@ def unit_cube_grid(d, h):
     n_axis = round(1.0 / h) if h > 0.0 and math.isfinite(1.0 / h) else 0
     if n_axis < 2 or abs(1.0 / h - n_axis) > 1e-9:
         raise BadStep(f"step {h} is not the reciprocal of an integer >= 2")
-    indices = np.array(list(itertools.product(range(n_axis + 1), repeat=d)))  # lexicographic
+    indices = np.indices((n_axis + 1,) * d).reshape(d, -1).T  # lexicographic
     measure = AtomicMeasure(indices * h, lookup_tol=h * 1e-9)
     on_face = (indices == 0) | (indices == n_axis)
     kernel = stencil_kernel(d, h, measure)

@@ -33,6 +33,7 @@ from nlbvp import (
     unit_cube_grid,
 )
 from nlbvp.errors import EmptyGamma, NonPositiveC
+from nlbvp.measure import quadrature_kernel
 
 from conftest import (
     dense_omega_constant,
@@ -276,7 +277,7 @@ def test_eigensolves_take_few_factor_solves(monkeypatch):
             return factor.solve(rhs)
 
         factor_solves.append(0)
-        return SimpleNamespace(solve=solve)
+        return SimpleNamespace(solve=solve, perm_c=factor.perm_c)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     _, _, constants = lattice_pencils(3, 1.0 / 8.0)
@@ -388,6 +389,111 @@ def weighted_graph_form(graph):
     ]
     domain = nonlocal_boundary(TransitionKernel(support, "quadrature"), omega, measure)
     return assemble_form(TransitionKernel(support, "quadrature"), measure, domain)
+
+
+def pencil_constants(form):
+    """Friedrichs, Poincare-omega and Poincare (full) constants, in the order
+    `diagnose` computes them."""
+    basis = nullspace(form)
+    return [
+        friedrichs_constant(form).constant,
+        poincare_constant(form, basis, variant="omega").constant,
+        poincare_constant(form, basis, variant="full").constant,
+    ]
+
+
+def assert_shared_order_matches_own_orders(form):
+    """The constants with the pencils factored in the form's shared order
+    match those of each pencil factored in its own MMD order: the Friedrichs
+    constant bit for bit, the others within 1e-14 relative.  Returns the
+    orderings the shared run asked SuperLU for.  Computed again, the
+    constants repeat their bits."""
+    solve, factor = nlbvp.linalg.smallest_eigenpairs, scipy.sparse.linalg.splu
+    orderings = []
+
+    def own_order(matrix, *args, order=None, **kwargs):
+        return solve(matrix, *args, **kwargs)
+
+    def spy(matrix, permc_spec, **kwargs):
+        orderings.append(permc_spec)
+        return factor(matrix, permc_spec=permc_spec, **kwargs)
+
+    with mock.patch.object(nlbvp.linalg, "smallest_eigenpairs", own_order):
+        own = pencil_constants(form)
+    form.shared_order = None
+    with mock.patch.object(scipy.sparse.linalg, "splu", spy):
+        shared = pencil_constants(form)
+    assert shared[0] == own[0]
+    for name, value, expected in zip(("omega", "full"), shared[1:], own[1:]):
+        assert value == expected or abs(value - expected) <= 1e-14 * abs(expected), name
+    assert pencil_constants(form) == shared
+    return orderings
+
+
+def gaussian(r):
+    return np.exp(-r * r)
+
+
+gaussian.radial = True
+
+
+def quadrature_square_form(n_axis):
+    """A 2-D quadrature form: the closed unit square's lattice with masses
+    h^2, delta = 3h and density exp(-r^2), the nodes more than 3.5h from
+    every side as the interior."""
+    h = 1.0 / n_axis
+    axis = np.arange(n_axis + 1) * h
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    measure = AtomicMeasure(points, np.full(len(points), h * h))
+    kernel = quadrature_kernel(gaussian, 3 * h, measure)
+    inner = np.flatnonzero(np.all((points > 3.5 * h) & (points < 1.0 - 3.5 * h), axis=1))
+    return assemble_form(kernel, measure, nonlocal_boundary(kernel, inner, measure))
+
+
+def random_graph_form(rng, n, density, pieces=1):
+    """A `weighted_graph_form` on `pieces` disjoint random graphs of n nodes
+    each, weights in [1e-3, 1] on a `density` share of the pairs, masses in
+    [0.5, 2], about half the nodes interior."""
+    blocks = []
+    for _ in range(pieces):
+        weights = np.triu(rng.uniform(1e-3, 1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+        blocks.append(weights + weights.T)
+    size = n * pieces
+    omega = list(np.flatnonzero(rng.random(size) < 0.5))
+    masses = rng.uniform(0.5, 2.0, size)
+    return weighted_graph_form((scipy.linalg.block_diag(*blocks), masses, omega))
+
+
+@pytest.mark.parametrize(
+    "case, build, shared",
+    [
+        ("stencil 2-D", lambda rng: lattice_pencils(2, 1.0 / 24.0)[0], 2),
+        ("stencil 3-D", lambda rng: lattice_pencils(3, 1.0 / 8.0)[0], 2),
+        ("quadrature", lambda rng: quadrature_square_form(20), 1),
+        ("graph", lambda rng: random_graph_form(rng, 150, 0.04), 1),
+        ("graph pieces", lambda rng: random_graph_form(rng, 30, 0.2, pieces=5), 1),
+    ],
+)
+def test_shared_order_matches_own_orders(case, build, shared, rng):
+    """On the one-neighbour stencil forms the Friedrichs pencil orders P and
+    the two Poincare pencils reuse it; elsewhere the Kron pencil orders P and
+    the full pencil reuses it."""
+    orderings = assert_shared_order_matches_own_orders(build(rng))
+    assert orderings.count("NATURAL") == shared, case
+    assert orderings.count("MMD_AT_PLUS_A") == 3 - shared, case
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        weighted_graphs().map(weighted_graph_form),
+        quadrature_forms(),
+        stencil_forms(),
+        component_graphs().map(weighted_graph_form),
+    )
+)
+def test_shared_order_matches_own_orders_on_random_forms(form):
+    assert_shared_order_matches_own_orders(form)
 
 
 @settings(max_examples=100, deadline=None)
@@ -581,10 +687,10 @@ def test_friedrichs_chain_on_interval():
     omega = grid.domain.omega
     # peel inward from the boundary: {1/4, 3/4} reach the boundary, {1/2} reaches them
     chain = [[omega[0], omega[2]], [omega[1]]]
-    assert friedrichs_chain_holds(grid.kernel, grid.domain, grid.measure, chain) is True
+    assert friedrichs_chain_holds(grid.kernel, grid.domain, chain) is True
     # wrong order: the interior cell cannot reach the boundary directly
     assert friedrichs_chain_holds(
-        grid.kernel, grid.domain, grid.measure, [[omega[1]], [omega[0], omega[2]]]
+        grid.kernel, grid.domain, [[omega[1]], [omega[0], omega[2]]]
     ) is False
 
 
@@ -592,11 +698,9 @@ def test_friedrichs_chain_rejects_bad_partition():
     grid, _ = interval_setup(0.25)
     omega = grid.domain.omega
     with pytest.raises(ValueError):
-        friedrichs_chain_holds(grid.kernel, grid.domain, grid.measure, [[omega[0]]])
+        friedrichs_chain_holds(grid.kernel, grid.domain, [[omega[0]]])
     with pytest.raises(ValueError):
-        friedrichs_chain_holds(
-            grid.kernel, grid.domain, grid.measure, [list(omega), [omega[0]]]
-        )
+        friedrichs_chain_holds(grid.kernel, grid.domain, [list(omega), [omega[0]]])
 
 
 # -- invariants ----------------------------------------------------------------------

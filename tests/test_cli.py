@@ -446,6 +446,63 @@ def test_dirichlet_diagnose_factors_three_pencils_and_reuses_one(tmp_path, monke
     assert len(iterations) == 1 and 0 < iterations[0] <= 5
 
 
+def square_document(n_axis, family):
+    """A Dirichlet document on the closed unit square's lattice of step
+    1/n_axis: the stencil family with the open square as the interior, or the
+    quadrature family (masses h^2, delta = 3h, density exp(-r^2)) with the
+    nodes more than 3.5h from every side as the interior."""
+    h = 1.0 / n_axis
+    axis = np.arange(n_axis + 1) * h
+    nodes = [[x, y] for x in axis for y in axis]
+    margin = h / 2 if family == "stencil" else 3.5 * h
+    data = {
+        "family": family,
+        "dimension": 2,
+        "nodes": nodes,
+        "omega": [k for k, p in enumerate(nodes) if all(margin < c < 1.0 - margin for c in p)],
+        "problem": {"kind": "dirichlet", "f": "1", "g": "x*y"},
+    }
+    if family == "stencil":
+        data["h"] = h
+    else:
+        data.update(delta=3 * h, gamma="exp(-r*r)", nodes=[p + [h * h] for p in nodes])
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        # Friedrichs orders P on a one-neighbour form; both Poincare pencils reuse it
+        ("diagnose stencil", ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]),
+        # the Friedrichs pencil has its own pattern; the Kron pencil orders P
+        ("diagnose quadrature", ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]),
+        # per grid: the Friedrichs pencil orders P and the full pencil reuses it
+        ("bench", ["MMD_AT_PLUS_A", "NATURAL"] * 2),
+    ],
+)
+def test_pencils_of_one_form_share_one_ordering(tmp_path, monkeypatch, capsys, command, expected):
+    """Each multiple-minimum-degree ordering that SuperLU runs (MMD_AT_PLUS_A)
+    serves every pencil of its pattern; the others are factored in it
+    (NATURAL): one ordering per stencil `diagnose` and per `bench` grid, two
+    per quadrature `diagnose`."""
+    orderings = []
+    factor = scipy.sparse.linalg.splu
+
+    def spy(matrix, permc_spec, **kwargs):
+        orderings.append(permc_spec)
+        return factor(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    if command == "bench":
+        argv = ["bench", "--d", "3", "--h", "1/4,1/8"]
+    else:
+        document = square_document(24, command.split()[1])
+        argv = ["diagnose", write_doc(tmp_path, "square.json", document)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert orderings == expected
+
+
 def test_diagnose_zero_kernel(tmp_path, capsys):
     data = {
         "family": "quadrature",

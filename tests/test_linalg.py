@@ -131,3 +131,30 @@ def test_smallest_eigenpairs_zero_matrix():
     assert_allclose(vals, np.zeros(4), atol=1e-300)
     gram = vecs.T @ vecs
     assert_allclose(gram, np.eye(4), atol=1e-10)
+
+
+def test_smallest_eigenpairs_take_and_return_an_elimination_order(rng):
+    """A sparse pencil factored in a given order gives the eigenpairs and the
+    shifted solve of its own MMD order, and returns the order it used; the
+    default call returns the eigenpairs alone."""
+    weights = sp.random(60, 60, density=0.08, random_state=rng.integers(2**32))
+    weights = sp.triu(weights, 1)
+    weights = weights + weights.T
+    a = sp.csr_matrix(sp.diags(np.asarray(weights.sum(axis=1)).ravel() + 0.1) - weights)
+    masses = rng.uniform(0.5, 2.0, size=60)
+    assert len(smallest_eigenpairs(a, masses, count=2)) == 2
+    vals, _, inverse, own = smallest_eigenpairs(
+        a, masses, count=2, return_inverse=True, return_order=True
+    )
+    assert np.array_equal(np.sort(own), np.arange(60))
+    r = rng.standard_normal(60)
+    solved = inverse(r)
+    for order in (own, own[::-1], rng.permutation(60)):
+        given_vals, _, given_inverse, used = smallest_eigenpairs(
+            a, masses, count=2, return_inverse=True, order=order, return_order=True
+        )
+        assert used is order
+        assert_allclose(given_vals, vals, rtol=1e-13)
+        assert_allclose(given_inverse(r), solved, rtol=1e-10, atol=1e-12 * np.abs(solved).max())
+    # the dense path factors nothing and uses no order
+    assert smallest_eigenpairs(a[:3, :3], masses[:3], count=2, return_order=True)[2] is None

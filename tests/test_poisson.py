@@ -1,6 +1,8 @@
 """Unit-cube benchmark: grid geometry, stiffness identities, convergence,
 discrete maximum principle, and the weighted-graph demo."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,6 +50,15 @@ def test_grid_counts(d, h, m, l):
     grid = unit_cube_grid(d, h)
     assert (grid.m, grid.l) == (m, l)
     assert grid.m == (round(1 / h) - 1) ** d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_points_are_lexicographic(d):
+    """The lattice points run in lexicographic order of their indices, the
+    first coordinate slowest."""
+    grid = unit_cube_grid(d, 1.0 / 3.0)
+    indices = np.array(list(itertools.product(range(4), repeat=d)))
+    assert np.array_equal(grid.measure.points, indices * (1.0 / 3.0))
 
 
 def test_grid_rejects_bad_steps():
