@@ -11,11 +11,12 @@ Boundary nodes never interact, so once the boundary block is eliminated the
 full pencil and the Kron pencil share the interior pattern
 P = pattern(A_oo + A_og A_go), and the Friedrichs pencil A_oo has pattern P
 too when every boundary node couples to at most one interior node (as in
-every stencil form).  The first of these pencils to be factored computes its
-own fill-reducing order, the form keeps its interior part, and every later
-one is factored in it, the full pencil with the boundary first.  The
-Friedrichs pencil is always factored in its own order, and so is the pencil
-that computed the kept order, so a constant computed again repeats its bits.
+every stencil form).  On such a form the Friedrichs pencil, always factored
+in its own fill-reducing order, leaves that order on the form, and each
+Poincare pencil factored afterwards is factored in it, the full pencil with
+the boundary first.  A Poincare constant computed before any Friedrichs
+constant on the form, or on any other form, comes from its pencil's own
+order; the two orders' constants differ in the last digits only.
 
 The Poincare constant comes in two variants differing only in which mass
 diagonal appears on the left-hand side of the inequality:
@@ -203,42 +204,21 @@ def friedrichs_constant(form, return_inverse=False):
     (omega_block, interior masses).  With `return_inverse` the report comes
     with the eigensolve's factorization as the solve of the shifted block
     A_oo + s M_o (see `linalg.smallest_eigenpairs`), None when there is none:
-    a preconditioner for the Dirichlet system.
+    a preconditioner for the Dirichlet system.  When every boundary node
+    couples to at most one interior node, the form keeps the factorization's
+    elimination order as `shared_order` for its Poincare pencils.
     """
     m = form.domain.m
     lam, vec, inverse, order = linalg.smallest_eigenpairs(
-        form.omega_block, form.mass_omega, count=1, return_inverse=True, return_order=True
+        form.omega_block, form.mass_omega, count=1, return_inverse=True
     )
     # with at most one interior neighbour per boundary node, A_oo has pattern P
-    one_neighbour = np.bincount(form.gamma_block.indices, minlength=1).max() <= 1
-    if form.shared_order is None and order is not None and one_neighbour:
-        form.shared_order = ("friedrichs", order)
+    if np.bincount(form.gamma_block.indices, minlength=1).max() <= 1:
+        form.shared_order = order
     witness = np.zeros(form.n)
     witness[:m] = vec[:, 0]
     report = _gap_report(lam, witness, interior_tol(form))
     return (report, inverse) if return_inverse else report
-
-
-def _shared_eigenpairs(form, pencil, matrix, masses, **options):
-    """`linalg.smallest_eigenpairs` for one pair of the Poincare pencil
-    `pencil` ("omega" or "full") in the form's shared order of P, the full
-    pencil with the boundary nodes first.  Without a shared order the pencil
-    is factored in its own MMD order, and the form keeps that order, the
-    interior nodes' part of it for the full pencil.  The pencil that computed
-    the shared order keeps its own order on every call, so each constant
-    comes out the same however often it is computed."""
-    m = form.domain.m
-    owner, order = form.shared_order or (pencil, None)
-    if owner == pencil:
-        order = None
-    elif pencil == "full":
-        order = np.concatenate([np.arange(m, form.n), order])
-    *result, used = linalg.smallest_eigenpairs(
-        matrix, masses, count=1, order=order, return_order=True, **options
-    )
-    if form.shared_order is None and used is not None:
-        form.shared_order = (pencil, used[used < m])
-    return result
 
 
 def _gap_report(lam, witness, tolerance):
@@ -252,8 +232,11 @@ def _gap_report(lam, witness, tolerance):
 
 
 def _poincare_full(form, basis):
-    lam, vec = _shared_eigenpairs(
-        form, "full", form.matrix, form.mass_diag, deflate=basis._spanned_labels()
+    order = form.shared_order
+    if order is not None:  # the boundary nodes first, then P in its kept order
+        order = np.concatenate([np.arange(form.domain.m, form.n), order])
+    lam, vec = linalg.smallest_eigenpairs(
+        form.matrix, form.mass_diag, count=1, deflate=basis._spanned_labels(), order=order
     )
     witness = vec[:, 0] if lam.size else np.zeros(form.n)
     return _gap_report(lam, witness, basis.tolerance)
@@ -279,8 +262,9 @@ def _poincare_omega(form, basis):
     y = form.gamma_block.copy()  # Y: A_og's data scaled
     y.data *= np.sqrt(inverse_gg)[y.indices]
     schur = form.omega_block - y @ y.T
-    lam, vec = _shared_eigenpairs(
-        form, "omega", schur, form.mass_omega, deflate=basis._spanned_labels()[:m]
+    labels = basis._spanned_labels()[:m]
+    lam, vec = linalg.smallest_eigenpairs(
+        schur, form.mass_omega, count=1, deflate=labels, order=form.shared_order
     )
     interior = vec[:, 0] if lam.size else np.zeros(m)
     witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])

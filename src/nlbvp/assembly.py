@@ -48,9 +48,9 @@ class AssembledForm:
     mass_omega   : node masses restricted to the interior block
     symmetry_defect : the kernel's symmetry defect, checked at assembly
     nullspace    : the default-tolerance `analysis.nullspace` basis, once computed
-    shared_order : (pencil, order), the elimination order of the interior
-                   pattern the spectral pencils share and the pencil that
-                   computed it (see `analysis`), once computed
+    shared_order : the Friedrichs pencil's elimination order, once computed
+                   on a form whose spectral pencils share its pattern (see
+                   `analysis`)
     """
 
     matrix: sp.csr_matrix

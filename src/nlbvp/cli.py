@@ -107,9 +107,8 @@ def cmd_diagnose(args):
             solution = solve_dirichlet(problem, tol=doc.tol, preconditioner=shifted_inverse)
             principle = analysis.max_principle_check(solution.u, form, doc.domain)
     del shifted_inverse
-    # the Kron pencil goes first: the full pencil reuses the order of its pattern
-    poincare_omega = analysis.poincare_constant(form, basis, variant="omega")
     poincare_full = analysis.poincare_constant(form, basis, variant="full")
+    poincare_omega = analysis.poincare_constant(form, basis, variant="omega")
     record = {
         "symmetry_defect": form.symmetry_defect,
         "gamma_size": doc.domain.l,

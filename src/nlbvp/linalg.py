@@ -14,8 +14,8 @@ Two workhorses live here:
   its CSR arrays, for ARPACK's shift-invert Lanczos, deflated by a component
   labelling in one `bincount`.  The LU eliminates in a multiple minimum
   degree (MMD) order of the pencil's own pattern, or in an order the caller
-  hands in.  On request the order used and the factorization are handed back, the
-  latter as the solve of the shifted pencil A + s D, a preconditioner for A.
+  hands in.  On request the factorization is handed back as the solve of the
+  shifted pencil A + s D, a preconditioner for A, with the order it used.
   Its stopping rule and the accuracy of its eigenvalues are set out in
   `smallest_eigenpairs`.
 
@@ -151,9 +151,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
     )
 
 
-def smallest_eigenpairs(
-    matrix, masses, count=1, deflate=None, return_inverse=False, order=None, return_order=False
-):
+def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=False, order=None):
     """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
 
     Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
@@ -183,13 +181,12 @@ def smallest_eigenpairs(
 
     With `return_inverse` the factorization outlives the call as a third
     value, the function r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r
-    (no deflation applied), or None when the dense path answered.  With
-    `return_order` the elimination order the factorization used follows, in
-    the form `order` takes, or None when the dense path answered.
+    (no deflation applied), and the elimination order it used as a fourth, in
+    the form `order` takes; both are None when the dense path answered.
 
     Returns
     -------
-    (eigenvalues, vectors), then inverse and order as requested
+    (eigenvalues, vectors) or (eigenvalues, vectors, inverse, order)
         Eigenvalues ascending; vectors D-orthonormal, one column each.
     """
     n = matrix.shape[0]
@@ -257,4 +254,6 @@ def smallest_eigenpairs(
     # each vector's Rayleigh quotient, free of the back-transform's error
     energy = np.sum(vectors * (matrix @ vectors), axis=0)
     values = energy / np.sum(vectors**2 * masses[:, None], axis=0)
-    return (values, vectors) + (shifted_inverse,) * return_inverse + (order,) * return_order
+    if return_inverse:
+        return values, vectors, shifted_inverse, order
+    return values, vectors

@@ -405,9 +405,10 @@ def pencil_constants(form):
 def assert_shared_order_matches_own_orders(form):
     """The constants with the pencils factored in the form's shared order
     match those of each pencil factored in its own MMD order: the Friedrichs
-    constant bit for bit, the others within 1e-14 relative.  Returns the
-    orderings the shared run asked SuperLU for.  Computed again, the
-    constants repeat their bits."""
+    constant bit for bit, the others within 1e-14 relative.  Before any
+    Friedrichs constant the Poincare constants are their own orders' bit for
+    bit.  Returns the orderings the shared run asked SuperLU for.  Computed
+    again, the constants repeat their bits."""
     solve, factor = nlbvp.linalg.smallest_eigenpairs, scipy.sparse.linalg.splu
     orderings = []
 
@@ -421,6 +422,9 @@ def assert_shared_order_matches_own_orders(form):
     with mock.patch.object(nlbvp.linalg, "smallest_eigenpairs", own_order):
         own = pencil_constants(form)
     form.shared_order = None
+    basis = nullspace(form)
+    first = [poincare_constant(form, basis, variant=v).constant for v in ("omega", "full")]
+    assert first == own[1:]
     with mock.patch.object(scipy.sparse.linalg, "splu", spy):
         shared = pencil_constants(form)
     assert shared[0] == own[0]
@@ -469,15 +473,15 @@ def random_graph_form(rng, n, density, pieces=1):
     [
         ("stencil 2-D", lambda rng: lattice_pencils(2, 1.0 / 24.0)[0], 2),
         ("stencil 3-D", lambda rng: lattice_pencils(3, 1.0 / 8.0)[0], 2),
-        ("quadrature", lambda rng: quadrature_square_form(20), 1),
-        ("graph", lambda rng: random_graph_form(rng, 150, 0.04), 1),
-        ("graph pieces", lambda rng: random_graph_form(rng, 30, 0.2, pieces=5), 1),
+        ("quadrature", lambda rng: quadrature_square_form(20), 0),
+        ("graph", lambda rng: random_graph_form(rng, 150, 0.04), 0),
+        ("graph pieces", lambda rng: random_graph_form(rng, 30, 0.2, pieces=5), 0),
     ],
 )
 def test_shared_order_matches_own_orders(case, build, shared, rng):
     """On the one-neighbour stencil forms the Friedrichs pencil orders P and
-    the two Poincare pencils reuse it; elsewhere the Kron pencil orders P and
-    the full pencil reuses it."""
+    the two Poincare pencils reuse it; elsewhere each pencil runs its own
+    ordering."""
     orderings = assert_shared_order_matches_own_orders(build(rng))
     assert orderings.count("NATURAL") == shared, case
     assert orderings.count("MMD_AT_PLUS_A") == 3 - shared, case

@@ -474,17 +474,18 @@ def square_document(n_axis, family):
     [
         # Friedrichs orders P on a one-neighbour form; both Poincare pencils reuse it
         ("diagnose stencil", ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]),
-        # the Friedrichs pencil has its own pattern; the Kron pencil orders P
-        ("diagnose quadrature", ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]),
+        # the Friedrichs pencil has its own pattern: each pencil orders itself
+        ("diagnose quadrature", ["MMD_AT_PLUS_A"] * 3),
         # per grid: the Friedrichs pencil orders P and the full pencil reuses it
         ("bench", ["MMD_AT_PLUS_A", "NATURAL"] * 2),
     ],
 )
 def test_pencils_of_one_form_share_one_ordering(tmp_path, monkeypatch, capsys, command, expected):
-    """Each multiple-minimum-degree ordering that SuperLU runs (MMD_AT_PLUS_A)
-    serves every pencil of its pattern; the others are factored in it
-    (NATURAL): one ordering per stencil `diagnose` and per `bench` grid, two
-    per quadrature `diagnose`."""
+    """On a form whose boundary nodes each couple to one interior node, the
+    Friedrichs pencil's multiple-minimum-degree ordering (MMD_AT_PLUS_A)
+    serves the Poincare pencils, factored in it (NATURAL): one ordering per
+    stencil `diagnose` and per `bench` grid.  A quadrature `diagnose` runs
+    three, one per pencil."""
     orderings = []
     factor = scipy.sparse.linalg.splu
 

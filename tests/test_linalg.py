@@ -143,18 +143,17 @@ def test_smallest_eigenpairs_take_and_return_an_elimination_order(rng):
     a = sp.csr_matrix(sp.diags(np.asarray(weights.sum(axis=1)).ravel() + 0.1) - weights)
     masses = rng.uniform(0.5, 2.0, size=60)
     assert len(smallest_eigenpairs(a, masses, count=2)) == 2
-    vals, _, inverse, own = smallest_eigenpairs(
-        a, masses, count=2, return_inverse=True, return_order=True
-    )
+    vals, _, inverse, own = smallest_eigenpairs(a, masses, count=2, return_inverse=True)
     assert np.array_equal(np.sort(own), np.arange(60))
     r = rng.standard_normal(60)
     solved = inverse(r)
     for order in (own, own[::-1], rng.permutation(60)):
         given_vals, _, given_inverse, used = smallest_eigenpairs(
-            a, masses, count=2, return_inverse=True, order=order, return_order=True
+            a, masses, count=2, return_inverse=True, order=order
         )
         assert used is order
         assert_allclose(given_vals, vals, rtol=1e-13)
         assert_allclose(given_inverse(r), solved, rtol=1e-10, atol=1e-12 * np.abs(solved).max())
     # the dense path factors nothing and uses no order
-    assert smallest_eigenpairs(a[:3, :3], masses[:3], count=2, return_order=True)[2] is None
+    _, _, inverse, order = smallest_eigenpairs(a[:3, :3], masses[:3], count=2, return_inverse=True)
+    assert inverse is None and order is None
