@@ -38,7 +38,7 @@ from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import EmptyGamma, NonPositiveC
-from .measure import WEAK_BOUNDARY_THRESHOLD
+from .measure import WEAK_BOUNDARY_THRESHOLD, _indicator
 
 NULLSPACE_TOL_FACTOR = 1e-9  # default eigenvalue threshold: factor * largest diagonal
 MAX_PRINCIPLE_TOL = 1e-12
@@ -91,17 +91,9 @@ class InequalityReport:
 
 @dataclass
 class TraceWeight:
-    """Boundary weight function characterizing admissible trace data.
-
-    variant "sufficient": w(y) = K(y, Omega); boundary data square-summable
-    against this weight extends into the solution space.
-    variant "necessary": w(y) = sum_{s in Omega} K(y,{s}) / (K(s, Gamma) + c);
-    square-summability against it is necessary for extendability.
-    """
+    """A `trace_weight`: one value per boundary node of `domain`."""
 
     values: np.ndarray
-    variant: str
-    c: float | None
     domain: object
 
 
@@ -176,9 +168,9 @@ def nullspace(form, tol=None):
     return basis
 
 
-def project_out_kernel(u, basis, measure):
+def project_out_kernel(u, basis):
     """Remove the interior-mass-weighted projection of u onto the nullspace:
-    each spanned component loses its interior-mass-weighted mean.
+    each spanned component loses its `basis.masses`-weighted interior mean.
 
     The projection minimizes the interior mass norm of the difference; the
     result is interior-mass orthogonal to every basis vector.  Orthogonality
@@ -188,7 +180,7 @@ def project_out_kernel(u, basis, measure):
     """
     domain = basis.domain
     weights = np.zeros(domain.n)
-    weights[: domain.m] = measure.masses[domain.omega]
+    weights[: domain.m] = basis.masses[: domain.m]
     total = basis._sums(weights)
     mean = np.divide(basis._sums(weights * u), total, out=np.zeros_like(total), where=total > 0.0)
     shift = np.zeros(domain.n)  # indexed by component id
@@ -294,23 +286,18 @@ def strong_poincare_check(basis):
     return basis.dimension == 1 and bool(np.all(basis.labels == basis.components[0]))
 
 
-def _indicator(n, ids):
-    """The 0/1 vector of the node set `ids`: K(x, S) = (K @ _indicator(n, S))[x]."""
-    indicator = np.zeros(n)
-    indicator[ids] = 1.0
-    return indicator
-
-
 def trace_weight(kernel, domain, variant="sufficient", c=None):
     """Boundary weight for the trace-space characterization.
 
-    "sufficient": w(y) = K(y, Omega).
-    "necessary":  w(y) = sum_{s in Omega} K(y,{s}) / (K(s, Gamma) + c), c > 0.
+    "sufficient": w(y) = K(y, Omega); boundary data square-summable against
+    it extends into the solution space.
+    "necessary":  w(y) = sum_{s in Omega} K(y,{s}) / (K(s, Gamma) + c), c > 0;
+    square-summability against it is necessary for extendability.
     """
+    if variant not in ("sufficient", "necessary"):
+        raise ValueError(f"unknown trace-weight variant {variant!r}")
     in_omega = _indicator(len(kernel), domain.omega)
     rows = kernel.matrix[domain.gamma]
-    if variant == "sufficient":
-        return TraceWeight(values=rows @ in_omega, variant=variant, c=None, domain=domain)
     if variant == "necessary":
         if c is None or c <= 0.0:
             raise NonPositiveC("the necessary trace weight needs a constant c > 0")
@@ -318,19 +305,17 @@ def trace_weight(kernel, domain, variant="sufficient", c=None):
         # each entry K(y, {s}) over K(s, Gamma) + c, those off Omega zeroed
         # first so that no quotient there can overflow against the indicator
         rows.data = rows.data * in_omega[rows.indices] / (k_to_gamma + c)[rows.indices]
-        return TraceWeight(values=rows @ in_omega, variant=variant, c=float(c), domain=domain)
-    raise ValueError(f"unknown trace-weight variant {variant!r}")
+    return TraceWeight(values=rows @ in_omega, domain=domain)
 
 
-def compatibility_defect(f, g, basis, measure):
+def compatibility_defect(f, g, basis):
     """Worst violation of the solvability condition: the load must annihilate
     every nullspace vector, max over spanned components c of
-    |sum_c load m| / sqrt(M_c), M_c the mass of c."""
-    domain = basis.domain
+    |sum_c load m| / sqrt(M_c), m = `basis.masses` and M_c the mass of c."""
     load = np.concatenate([np.asarray(f, dtype=float), np.asarray(g, dtype=float)])
-    if load.shape != (domain.n,):
+    if load.shape != basis.masses.shape:
         raise ValueError("f and g lengths must match the interior/boundary blocks")
-    pairing = basis._sums(measure.masses[domain.order] * load)
+    pairing = basis._sums(basis.masses * load)
     return float(np.max(np.abs(pairing) / np.sqrt(basis._sums(basis.masses)), initial=0.0))
 
 
@@ -356,9 +341,9 @@ def continuous_functional_check(g, weight, measure):
     )
 
 
-def max_principle_check(u, form, domain):
-    """True when the interior maximum does not exceed the boundary maximum
-    (up to MAX_PRINCIPLE_TOL times the value scale)."""
+def max_principle_check(u, domain):
+    """True when the interior maximum of u (in canonical order) does not exceed
+    the boundary maximum (up to MAX_PRINCIPLE_TOL times the value scale)."""
     if domain.l == 0:
         raise EmptyGamma("the nonlocal boundary is empty; the principle is vacuous")
     m = domain.m

@@ -59,7 +59,6 @@ class AssembledForm:
     mass_diag: np.ndarray
     mass_omega: np.ndarray
     domain: object
-    measure: object
     symmetry_defect: float
     nullspace: object = field(default=None, init=False, repr=False, compare=False)
     shared_order: object = field(default=None, init=False, repr=False, compare=False)
@@ -116,7 +115,6 @@ def assemble_form(kernel, measure, domain):
         mass_diag=masses,
         mass_omega=masses[:m],
         domain=domain,
-        measure=measure,
         symmetry_defect=defect,
     )
 
@@ -182,13 +180,14 @@ def apply_N(kernel, domain, u, node):
     return _operator_at(kernel, domain, u, node, gamma, NodeNotInGamma, "a boundary")
 
 
-def ibp_residual(form, kernel, measure, domain, u, v):
-    """Residual of the integration-by-parts identity
+def ibp_residual(form, kernel, u, v):
+    """Residual of the integration-by-parts identity, over the form's domain
+    and masses m:
 
     |sum_Omega Lu * v * m  -  B(u, v)  +  sum_Gamma Nu * v * m|.
     """
-    values = _operators(kernel, domain, u, domain.order)
-    return abs(float(np.sum(values * v * measure.masses[domain.order])) - bilinear(form, u, v))
+    values = _operators(kernel, form.domain, u, form.domain.order)
+    return abs(float(np.sum(values * v * form.mass_diag)) - bilinear(form, u, v))
 
 
 def energy_dirichlet(form, f, v):

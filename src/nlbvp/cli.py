@@ -1,12 +1,7 @@
 """Command-line front door: solve, diagnose, bench.
 
-Exit codes form a stable contract:
-
-    0  success
-    1  document/parameter errors
-    2  incompatible Neumann data (load pairs with the nullspace)
-    3  ill-posed problem (Friedrichs or Poincare inequality fails, or the
-       zeroth-order term leaves a kernel)
+Exit codes form a stable contract: 0 on success, else the `exit_code` that
+the error's class in `errors` carries, and 1 for any other error.
 """
 
 from __future__ import annotations
@@ -21,14 +16,7 @@ import numpy as np
 
 from . import analysis, fileio, poisson
 from .assembly import assemble_form
-from .errors import (
-    DocumentError,
-    FriedrichsViolated,
-    IncompatibleData,
-    NlbvpError,
-    PoincareViolated,
-    SingularAfterRegularization,
-)
+from .errors import DocumentError, NlbvpError
 from .solvers import (
     DirichletProblem,
     NeumannProblem,
@@ -101,11 +89,11 @@ def cmd_diagnose(args):
     compat = None
     principle = None
     if doc.kind is not None:
-        compat = analysis.compatibility_defect(doc.f, doc.g, basis, doc.measure)
+        compat = analysis.compatibility_defect(doc.f, doc.g, basis)
         if doc.kind == "dirichlet" and np.isfinite(friedrichs.constant) and doc.domain.l:
             problem = DirichletProblem(form, doc.f, doc.g)
             solution = solve_dirichlet(problem, tol=doc.tol, preconditioner=shifted_inverse)
-            principle = analysis.max_principle_check(solution.u, form, doc.domain)
+            principle = analysis.max_principle_check(solution.u, doc.domain)
     del shifted_inverse
     poincare_full = analysis.poincare_constant(form, basis, variant="full")
     poincare_omega = analysis.poincare_constant(form, basis, variant="omega")
@@ -244,11 +232,7 @@ def main(argv=None):
         return args.func(args)
     except (NlbvpError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, IncompatibleData):
-            return 2
-        if isinstance(exc, (FriedrichsViolated, PoincareViolated, SingularAfterRegularization)):
-            return 3
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

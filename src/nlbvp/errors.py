@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all nlbvp modules."""
+"""Exception hierarchy shared by all nlbvp modules.
+
+Each class carries the CLI exit code of its errors as `exit_code`: 1 for
+document and parameter errors, 2 for incompatible Neumann data, 3 for an
+ill-posed problem.
+"""
 
 
 class NlbvpError(Exception):
     """Base class for all package errors."""
+    exit_code = 1
 
 
 # -- kernel / measure construction -------------------------------------------
@@ -59,14 +65,17 @@ class EmptyGamma(NlbvpError):
 
 class FriedrichsViolated(NlbvpError):
     """Interior block is singular; the Dirichlet problem is not well-posed."""
+    exit_code = 3
 
 
 class PoincareViolated(NlbvpError):
     """No spectral gap above the nullspace; Neumann problem ill-posed."""
+    exit_code = 3
 
 
 class IncompatibleData(NlbvpError):
     """Neumann load fails the compatibility condition against the nullspace."""
+    exit_code = 2
 
 
 class NoConvergence(NlbvpError):
@@ -75,6 +84,7 @@ class NoConvergence(NlbvpError):
 
 class SingularAfterRegularization(NlbvpError):
     """Zeroth-order term did not remove the numerical kernel."""
+    exit_code = 3
 
 
 # -- benchmark -----------------------------------------------------------------

@@ -14,8 +14,9 @@ Documents are JSON with the fixed kernel/measure fields
 plus an optional problem block {kind, f, g, c} and the CG tolerance tol.  Load
 data f/g/c may be per-node value lists, expression strings over the
 coordinates, or {"table": path} to reuse a previously written solution table.
-Every number must be finite (h, delta and tol also positive); anything else
-is a DocumentError, raised before any solve.
+Every number must be finite (h, delta and tol also positive), dimension and
+the ids of omega and edges integral; anything else is a DocumentError naming
+the field, raised before any solve.
 
 Expressions (the load data and gamma) follow one small grammar, checked on
 the parsed tree before anything is evaluated: numeric constants (taken as
@@ -34,6 +35,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,12 +261,19 @@ def _parse_nodes(data, dimension):
     return np.ascontiguousarray(table[:, :dimension]), np.ascontiguousarray(masses)
 
 
+def _integers(values, name, least=0):
+    """A DocumentError naming `name` and the first entry of `values`, if a raw
+    JSON list, that is not an integral number >= `least` (a bool is none)."""
+    for value in values if isinstance(values, list) else ():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 or value < least:
+            raise DocumentError(f"{name}: {value!r} is not an integer >= {least}")
+
+
 def positive_finite(value, name):
-    """`value` as a float; a DocumentError unless it is finite and positive."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise DocumentError(f"{name} must be finite and positive, got {value}")
-    return value
+    """`value` as a float; a DocumentError unless it is a finite positive number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise DocumentError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _node_values(raw, points, count, name):
@@ -303,24 +312,29 @@ def load_document(source):
             raise DocumentError(f"cannot read document: {exc}") from exc
     family = _require(data, "family")
     try:
-        if family == "stencil":
-            dimension = int(_require(data, "dimension"))
-            h = positive_finite(_require(data, "h"), "h")
+        if family in ("stencil", "quadrature"):
+            dimension = _require(data, "dimension")
+            _integers([dimension], "dimension", least=1)
+            dimension = int(dimension)
             points, masses = _parse_nodes(data, dimension)
+        if family == "stencil":
+            h = positive_finite(_require(data, "h"), "h")
             measure = AtomicMeasure(points, masses, lookup_tol=h * 1e-9)
             kernel = stencil_kernel(dimension, h, measure)
         elif family == "quadrature":
-            dimension = int(_require(data, "dimension"))
             delta = positive_finite(_require(data, "delta"), "delta")
             density = radial_density(_require(data, "gamma"))
-            points, masses = _parse_nodes(data, dimension)
             measure = AtomicMeasure(points, masses)
             kernel = quadrature_kernel(density, delta, measure)
         elif family == "graph":
-            kernel, measure = graph_kernel(_require(data, "edges"), coordinates=data.get("nodes"))
+            edges = _require(data, "edges")
+            if isinstance(edges, list):  # the vertex ids of each edge
+                _integers([i for edge in edges for i in edge[:2]], "edges")
+            kernel, measure = graph_kernel(edges, coordinates=data.get("nodes"))
         else:
             raise DocumentError(f"unknown kernel family {family!r}")
         omega = _require(data, "omega")
+        _integers(omega, "omega")
         if not omega:
             raise DocumentError("omega must not be empty")
         domain = nonlocal_boundary(kernel, omega, measure)

@@ -2,10 +2,10 @@
 
 A measure is a finite set of nodes in R^d with strictly positive masses.
 A transition kernel on n nodes is one non-negative n x n CSR matrix K with
-K[x, y] = K(x, {y}); evaluating it on a node set sums a row over the set's
-columns.  Symmetry with respect to the measure says that W = diag(m) K (K's
-data scaled by row masses) equals its transpose, so the symmetry check, the
-boundary split and all downstream stages are sparse expressions over K or W.
+K[x, y] = K(x, {y}); K(x, S) is the row of x summed against S's 0/1 indicator.
+Symmetry with respect to the measure says that W = diag(m) K (K's data scaled
+by row masses) equals its transpose, so the symmetry check, the boundary split
+and all downstream stages are sparse expressions over K or W.
 
 Nodes are paired by one linked-cell search (`_close_pairs`): nodes are binned
 into cells of the search radius, and the occupied cells look up their
@@ -205,6 +205,18 @@ class AtomicMeasure:
         return np.flatnonzero((dist > 0.0) & (dist <= radius)).tolist()
 
 
+def _indicator(n, ids):
+    """The 0/1 vector of the node set `ids` over n nodes: every K(x, S) is
+    (K @ _indicator(n, S))[x].  An id outside 0..n-1 is a ValueError."""
+    ids = np.asarray(ids, dtype=np.int64)
+    outside = ids[(ids < 0) | (ids >= n)]
+    if outside.size:
+        raise ValueError(f"node id {outside[0]} is outside 0..{n - 1}")
+    indicator = np.zeros(n)
+    indicator[ids] = 1.0
+    return indicator
+
+
 class TransitionKernel:
     """Kernel K(x, .) on n nodes stored as one n x n CSR matrix.
 
@@ -214,7 +226,7 @@ class TransitionKernel:
     diagonal.
     """
 
-    def __init__(self, support, family):
+    def __init__(self, support):
         if sp.issparse(support):
             matrix = sp.csr_matrix(support, dtype=float)
         else:
@@ -224,7 +236,6 @@ class TransitionKernel:
             matrix = sp.csr_matrix((w, (x.astype(int), t.astype(int))), shape=(len(support),) * 2)
         matrix.sum_duplicates()  # canonical CSR: rows ascending by target
         self.matrix = matrix
-        self.family = family
         rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
         finite = np.isfinite(matrix.data)
         bad = np.flatnonzero(~finite | (matrix.data < 0.0) | (matrix.indices == rows))
@@ -240,13 +251,11 @@ class TransitionKernel:
     def __len__(self):
         return self.matrix.shape[0]
 
-    def _row(self, node):
-        span = slice(self.matrix.indptr[node], self.matrix.indptr[node + 1])
-        return self.matrix.indices[span], self.matrix.data[span]
-
     def entries(self, node):
         """The atoms of K(node, .) as KernelEntry pairs, ascending by target."""
-        return [KernelEntry(int(t), float(w)) for t, w in zip(*self._row(node))]
+        span = slice(self.matrix.indptr[node], self.matrix.indptr[node + 1])
+        atoms = zip(self.matrix.indices[span], self.matrix.data[span])
+        return [KernelEntry(int(t), float(w)) for t, w in atoms]
 
     @property
     def support(self):
@@ -256,9 +265,11 @@ class TransitionKernel:
         return [atoms[a:b] for a, b in zip(k.indptr[:-1].tolist(), k.indptr[1:].tolist())]
 
     def evaluate(self, node, targets):
-        """K(node, S) for a node set S given as ids."""
-        cols, weights = self._row(node)
-        return float(weights[np.isin(cols, list(targets))].sum())
+        """K(node, S) for a node set S given as ids: the bits of
+        `(matrix @ _indicator(n, S))[node]`; an id outside 0..n-1 is a ValueError."""
+        if not 0 <= node < len(self):
+            raise ValueError(f"node id {node} is outside 0..{len(self) - 1}")
+        return float((self.matrix[node] @ _indicator(len(self), list(targets)))[0])
 
 
 @dataclass(frozen=True)
@@ -303,29 +314,25 @@ class NonlocalDomain:
 def nonlocal_boundary(kernel, omega, measure):
     """Split the node set: boundary = nodes outside omega with K(y, omega) > 0.
 
-    The split is exact: kernel masses toward omega are finite sums, the row
-    sums of K over omega's columns.  Nodes whose mass toward omega is positive
-    but below WEAK_BOUNDARY_THRESHOLD are kept in the boundary and listed in
-    `weak_gamma`.
+    The split is exact: kernel masses toward omega are finite sums, the rows
+    of K summed against omega's indicator.  Nodes whose mass toward omega is
+    positive but below WEAK_BOUNDARY_THRESHOLD are kept in the boundary and
+    listed in `weak_gamma`.  An id outside the measure is a ValueError.
     """
     omega_ids = np.sort(np.fromiter(omega, dtype=int))
     n = len(measure)
-    outside = (omega_ids < 0) | (omega_ids >= n)
-    if outside.any():
-        raise ValueError(f"omega references node {omega_ids[outside][0]} outside the measure")
     if np.any(np.diff(omega_ids) == 0):
         raise ValueError("omega contains duplicate nodes")
-    in_omega = np.zeros(n, dtype=bool)
-    in_omega[omega_ids] = True
-    k_to_omega = kernel.matrix @ in_omega.astype(float)
+    in_omega = _indicator(n, omega_ids)
+    k_to_omega = kernel.matrix @ in_omega
     reaches = k_to_omega > 0.0
-    gamma = np.flatnonzero(~in_omega & reaches)
+    gamma = np.flatnonzero((in_omega == 0.0) & reaches)
     pos = np.full(n, -1)
     pos[np.r_[omega_ids, gamma]] = np.arange(len(omega_ids) + len(gamma))
     return NonlocalDomain(
         omega=omega_ids,
         gamma=gamma,
-        exterior=np.flatnonzero(~in_omega & ~reaches),
+        exterior=np.flatnonzero((in_omega == 0.0) & ~reaches),
         weak_gamma=gamma[k_to_omega[gamma] < WEAK_BOUNDARY_THRESHOLD],
         _pos=pos,
     )
@@ -383,7 +390,7 @@ def stencil_kernel(d, h, measure):
         )
     rows, cols = i[hits], j[hits]
     matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(pts),) * 2)
-    return TransitionKernel(matrix, "stencil")
+    return TransitionKernel(matrix)
 
 
 def graph_kernel(edges, coordinates=None):
@@ -431,7 +438,7 @@ def graph_kernel(edges, coordinates=None):
         raise IsolatedVertex(f"vertex {np.flatnonzero(degrees == 0.0)[0]} has no incident edge")
     matrix.data /= np.repeat(degrees, np.diff(matrix.indptr))
     measure = AtomicMeasure(coordinates, degrees)
-    return TransitionKernel(matrix, "graph"), measure
+    return TransitionKernel(matrix), measure
 
 
 def quadrature_kernel(gamma, delta, measure):
@@ -485,7 +492,7 @@ def quadrature_kernel(gamma, delta, measure):
         weights = np.r_[g_ji * measure.masses[i], g_ij * measure.masses[j]]
     matrix = sp.csr_matrix((weights, (np.r_[j, i], np.r_[i, j])), shape=(len(pts),) * 2)
     matrix.eliminate_zeros()  # a weight that is exactly zero is no atom
-    return TransitionKernel(matrix, "quadrature")
+    return TransitionKernel(matrix)
 
 
 def symmetry_defect(kernel, measure):

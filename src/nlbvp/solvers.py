@@ -131,7 +131,7 @@ def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
         raise PoincareViolated(
             "no spectral gap above the nullspace: the Poincare inequality fails"
         )
-    defect = analysis.compatibility_defect(problem.f, problem.g, basis, form.measure)
+    defect = analysis.compatibility_defect(problem.f, problem.g, basis)
     limit = _compat_tol(problem)
     if defect > limit:
         raise IncompatibleData(

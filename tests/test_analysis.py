@@ -87,7 +87,7 @@ def test_nullspace_interleaved_lattice_dimension_two():
 
 def test_nullspace_zero_kernel_spans_everything():
     measure = AtomicMeasure([[0.0], [1.0], [2.0]])
-    kernel = TransitionKernel([[], [], []], "quadrature")
+    kernel = TransitionKernel([[], [], []])
     domain = nonlocal_boundary(kernel, [0, 1, 2], measure)
     form = assemble_form(kernel, measure, domain)
     basis = nullspace(form, tol=1e-12)
@@ -105,7 +105,7 @@ def test_nullspace_weak_couplings_bounded_per_node(weak_links, expected_dim):
         for i in (1, 2, 3)
     ]
     measure = AtomicMeasure([[float(i)] for i in range(4)])
-    kernel = TransitionKernel(support, "quadrature")
+    kernel = TransitionKernel(support)
     form = assemble_form(kernel, measure, nonlocal_boundary(kernel, [0, 1], measure))
     coupling = abs(form.matrix[form.domain.position(0), form.domain.position(1)])
     tol = 2.0 * coupling / 0.6
@@ -131,7 +131,7 @@ def test_nullspace_vectors_annihilate_form(rng):
 def test_projection_kills_constants():
     grid, form = interval_setup(0.25)
     basis = nullspace(form)
-    out = project_out_kernel(np.ones(form.n), basis, grid.measure)
+    out = project_out_kernel(np.ones(form.n), basis)
     assert_allclose(out, np.zeros(form.n), atol=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_projection_preserves_orthogonal_functions(rng):
     masses = grid.measure.masses[grid.domain.omega]
     u = rng.standard_normal(form.n)
     u[: grid.m] -= (u[: grid.m] @ masses) / masses.sum()  # interior mean zero
-    out = project_out_kernel(u, basis, grid.measure)
+    out = project_out_kernel(u, basis)
     assert_allclose(out, u, atol=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_projection_is_best_approximation(rng):
     basis = nullspace(form)
     masses = grid.measure.masses[grid.domain.omega]
     u = rng.standard_normal(form.n)
-    out = project_out_kernel(u, basis, grid.measure)
+    out = project_out_kernel(u, basis)
     best = float(out[: grid.m] ** 2 @ masses)
     for c in np.linspace(-2.0, 2.0, 41):
         trial = float((u[: grid.m] - c) ** 2 @ masses)
@@ -164,13 +164,13 @@ def test_projection_leaves_a_component_without_interior_nodes_unchanged():
     component of its own with no interior node."""
     measure = AtomicMeasure([[0.0], [1.0], [2.0]])
     weights = sp.csr_matrix([[0.0, 1.0, 0.0], [1.0, 0.0, 1e-20], [0.0, 1e-20, 0.0]])
-    kernel = TransitionKernel(weights, "graph")
+    kernel = TransitionKernel(weights)
     domain = nonlocal_boundary(kernel, [1], measure)
     assert list(domain.weak_gamma) == [2]
     basis = nullspace(assemble_form(kernel, measure, domain))
     assert basis.dimension == 2
     u = np.array([3.0, 5.0, 7.0])  # nodes 1, 0, 2: the interior first
-    out = project_out_kernel(u, basis, measure)
+    out = project_out_kernel(u, basis)
     np.testing.assert_array_equal(out, [0.0, 2.0, 7.0])
 
 
@@ -387,8 +387,8 @@ def weighted_graph_form(graph):
         [(j, weights[i, j] / masses[i]) for j in range(n) if weights[i, j] > 0.0]
         for i in range(n)
     ]
-    domain = nonlocal_boundary(TransitionKernel(support, "quadrature"), omega, measure)
-    return assemble_form(TransitionKernel(support, "quadrature"), measure, domain)
+    domain = nonlocal_boundary(TransitionKernel(support), omega, measure)
+    return assemble_form(TransitionKernel(support), measure, domain)
 
 
 def pencil_constants(form):
@@ -534,6 +534,53 @@ def test_spectral_layer_matches_dense_on_random_graphs(form):
         assert poincare_constant(form, basis, variant=variant).constant == reports[variant].constant
 
 
+@pytest.mark.parametrize(
+    "build, components",
+    [
+        (lambda: square_setup(1.0 / 8.0)[1], 1),
+        (lambda: quadrature_square_form(20), 1),
+        (lambda: random_graph_form(np.random.default_rng(0), 10, 0.5, pieces=2), 2),
+    ],
+    ids=["stencil", "quadrature", "two-component graph"],
+)
+def test_witnesses_attain_their_eigenvalues(build, components):
+    """Each report's witness w is its extremal function: B(w, w) over the
+    report's squared mass norm of w gives its eigenvalue.  The Friedrichs
+    witness vanishes on the boundary; the full witness is mass-orthogonal to
+    every spanned component; the Omega witness is interior-mass-orthogonal to
+    them and extends its interior values by the energy minimizer, so
+    (A w)_y = 0 on every coupled boundary node."""
+    form = build()
+    m = form.domain.m
+    basis = nullspace(form)
+    assert basis.dimension == components
+    interior = np.r_[form.mass_omega, np.zeros(form.domain.l)]
+
+    def assert_quotient(report, masses):
+        w = report.witness
+        assert bilinear(form, w, w) / (w * w @ masses) == pytest.approx(report.eigenvalue, rel=1e-12)
+
+    def assert_orthogonal(w, masses):
+        pairing = np.abs(basis._sums(masses * w))
+        assert np.all(pairing <= 1e-12 * np.sqrt(basis._sums(masses) * (w * w @ masses)))
+
+    friedrichs = friedrichs_constant(form)
+    assert np.isfinite(friedrichs.constant)
+    assert_quotient(friedrichs, interior)
+    assert np.all(friedrichs.witness[m:] == 0.0)
+
+    full = poincare_constant(form, basis, variant="full")
+    assert_quotient(full, form.mass_diag)
+    assert_orthogonal(full.witness, form.mass_diag)
+
+    omega = poincare_constant(form, basis, variant="omega")
+    assert_quotient(omega, interior)
+    assert_orthogonal(omega.witness, interior)
+    coupled = m + np.flatnonzero(form.matrix.diagonal()[m:] > 0.0)
+    scale = abs(form.matrix) @ np.abs(omega.witness)
+    assert np.all(np.abs((form.matrix @ omega.witness)[coupled]) <= 1e-12 * scale[coupled])
+
+
 def test_component_graphs_reach_both_eigensolver_paths():
     """Deflated by its components, the full pencil of a many-piece form has
     n - k free dimensions: some forms leave at most two (dense eigh) and some
@@ -573,7 +620,7 @@ def test_strong_poincare_check_cases():
     _, _, _, interleaved_form = interleaved_setup()
     assert strong_poincare_check(nullspace(interleaved_form)) is False
     measure = AtomicMeasure([[0.0], [1.0]])
-    kernel = TransitionKernel([[], []], "quadrature")
+    kernel = TransitionKernel([[], []])
     domain = nonlocal_boundary(kernel, [0, 1], measure)
     zero_form = assemble_form(kernel, measure, domain)
     assert strong_poincare_check(nullspace(zero_form, tol=1e-12)) is False
@@ -619,14 +666,14 @@ def test_compatibility_defect_interval():
     grid, form = interval_setup(0.25)
     basis = nullspace(form)
     f = np.ones(grid.m)
-    defect = compatibility_defect(f, np.zeros(grid.l), basis, grid.measure)
+    defect = compatibility_defect(f, np.zeros(grid.l), basis)
     assert defect == pytest.approx(3.0 / np.sqrt(5.0), rel=1e-10)
 
 
 def test_compatibility_defect_zero_data():
     grid, form = interval_setup(0.25)
     basis = nullspace(form)
-    assert compatibility_defect(np.zeros(grid.m), np.zeros(grid.l), basis, grid.measure) == 0.0
+    assert compatibility_defect(np.zeros(grid.m), np.zeros(grid.l), basis) == 0.0
 
 
 def test_continuous_functional_example():
@@ -649,7 +696,7 @@ def test_continuous_functional_flags_tiny_weight():
 
 def test_continuous_functional_on_empty_gamma():
     measure = AtomicMeasure([[0.0], [1.0]])
-    kernel = TransitionKernel([[], []], "quadrature")
+    kernel = TransitionKernel([[], []])
     weight = trace_weight(kernel, nonlocal_boundary(kernel, [0], measure), variant="sufficient")
     record = continuous_functional_check(np.zeros(0), weight, measure)
     assert (record.weighted_sum, record.min_weight, record.ill_conditioned) == (0.0, np.inf, False)
@@ -660,7 +707,7 @@ def test_continuous_functional_on_empty_gamma():
 
 def test_max_principle_constant_function():
     _, _, domain, form = three_node_setup()
-    assert max_principle_check(np.ones(3), form, domain) is True
+    assert max_principle_check(np.ones(3), domain) is True
 
 
 def test_max_principle_derived_solution():
@@ -668,19 +715,19 @@ def test_max_principle_derived_solution():
     _, domain, form = None, None, None
     grid, form = interval_setup(0.25)
     u = np.array([5.0 / 32.0, 3.0 / 8.0, 21.0 / 32.0, 0.0, 1.0])
-    assert max_principle_check(u, form, grid.domain) is True
+    assert max_principle_check(u, grid.domain) is True
     flipped = u.copy()
     flipped[1] = 2.0
-    assert max_principle_check(flipped, form, grid.domain) is False
+    assert max_principle_check(flipped, grid.domain) is False
 
 
 def test_max_principle_empty_gamma():
     measure = AtomicMeasure([[0.0], [1.0]])
-    kernel = TransitionKernel([[], []], "quadrature")
+    kernel = TransitionKernel([[], []])
     domain = nonlocal_boundary(kernel, [0, 1], measure)
     form = assemble_form(kernel, measure, domain)
     with pytest.raises(EmptyGamma):
-        max_principle_check(np.zeros(2), form, domain)
+        max_principle_check(np.zeros(2), domain)
 
 
 # -- chain criterion -----------------------------------------------------------------
@@ -713,10 +760,9 @@ def test_friedrichs_chain_rejects_bad_partition():
 def test_energy_invariant_under_kernel_shift(rng):
     _, _, _, form = interleaved_setup()
     basis = nullspace(form)
-    grid_measure = AtomicMeasure([[i / 8.0] for i in range(9)])
     for _ in range(10):
         u = rng.standard_normal(form.n)
-        shifted = project_out_kernel(u, basis, grid_measure)
+        shifted = project_out_kernel(u, basis)
         assert bilinear(form, shifted, shifted) == pytest.approx(
             bilinear(form, u, u), rel=1e-10
         )
@@ -727,7 +773,7 @@ def test_trace_weight_flag_agrees_with_weak_gamma(reach, weak):
     """One threshold decides a near-zero trace weight: node 1 reaches the
     interior with weight `reach` only, and `weak_gamma` and
     `continuous_functional_check` give it the same verdict."""
-    kernel = TransitionKernel([[(1, reach)], [(0, reach)]], "quadrature")
+    kernel = TransitionKernel([[(1, reach)], [(0, reach)]])
     measure = AtomicMeasure([[0.0], [1.0]])
     domain = nonlocal_boundary(kernel, [0], measure)
     weight = trace_weight(kernel, domain, variant="sufficient")

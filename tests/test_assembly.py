@@ -73,7 +73,7 @@ def test_interval_omega_block_is_scaled_tridiagonal():
 
 def test_zero_kernel_assembles_zero_matrix():
     measure = AtomicMeasure([[0.0], [1.0], [2.0]])
-    kernel = TransitionKernel([[], [], []], "quadrature")
+    kernel = TransitionKernel([[], [], []])
     domain = nonlocal_boundary(kernel, [0, 1, 2], measure)
     form = assemble_form(kernel, measure, domain)
     assert form.matrix.nnz == 0
@@ -93,7 +93,7 @@ def test_matrix_positive_semidefinite():
 
 def test_assembly_rejects_asymmetric_kernel():
     measure = AtomicMeasure([[0.0], [1.0]])
-    kernel = TransitionKernel([[(1, 1.0)], []], "quadrature")
+    kernel = TransitionKernel([[(1, 1.0)], []])
     domain = nonlocal_boundary(kernel, [0], measure)
     with pytest.raises(AsymmetricKernel):
         assemble_form(kernel, measure, domain)
@@ -105,7 +105,7 @@ def test_assembly_rejects_a_nan_symmetry_defect():
     the overflow is refused at its node, and a NaN defect is refused, not
     passed as zero."""
     measure = AtomicMeasure([[0.0], [1.0], [2.0]], np.full(3, 1e10))
-    kernel = TransitionKernel([[(1, 1e300)], [(0, 1e300), (2, 1e300)], [(1, 1e300)]], "quadrature")
+    kernel = TransitionKernel([[(1, 1e300)], [(0, 1e300), (2, 1e300)], [(1, 1e300)]])
     domain = nonlocal_boundary(kernel, [1], measure)
     with pytest.raises(ValueError, match="mass-weighted kernel weight overflows at node 0"):
         assemble_form(kernel, measure, domain)
@@ -177,14 +177,14 @@ def test_ibp_identity_constant_test_function(rng):
     grid, form = square_setup(0.25)
     u = rng.standard_normal(grid.domain.n)
     ones = np.ones(grid.domain.n)
-    assert ibp_residual(form, grid.kernel, grid.measure, grid.domain, u, ones) <= 1e-12
+    assert ibp_residual(form, grid.kernel, u, ones) <= 1e-12
 
 
 def test_ibp_zero():
     _, kernel, domain, form = three_node_setup()
     measure = AtomicMeasure([[0.0], [0.5], [1.0]])
     zero = np.zeros(3)
-    assert ibp_residual(form, kernel, measure, domain, zero, zero) == 0.0
+    assert ibp_residual(form, kernel, zero, zero) == 0.0
 
 
 def test_ibp_random_pairs(rng):
@@ -193,7 +193,7 @@ def test_ibp_random_pairs(rng):
     for _ in range(100):
         u = rng.standard_normal(grid.domain.n)
         v = rng.standard_normal(grid.domain.n)
-        res = ibp_residual(form, grid.kernel, grid.measure, grid.domain, u, v)
+        res = ibp_residual(form, grid.kernel, u, v)
         scale = max(1.0, abs(bilinear(form, u, v)))
         worst = max(worst, res / scale)
     assert worst <= 1e-11
@@ -270,7 +270,7 @@ def test_kernel_layer_matches_pair_loops(cloud):
         support = [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
         weights = masses[:, None] * matrix
         expected = float(np.max(np.abs(weights - weights.T)))
-        assert symmetry_defect(TransitionKernel(support, "quadrature"), measure) == expected
+        assert symmetry_defect(TransitionKernel(support), measure) == expected
 
     domain = nonlocal_boundary(kernel, omega, measure)
     outside = np.setdiff1d(np.arange(n), omega)
@@ -282,7 +282,7 @@ def test_kernel_layer_matches_pair_loops(cloud):
     scale = 1.0 + 4.0 * float(np.sum(masses[:, None] * dense))
     direct = brute_force_bilinear(kernel, measure, domain, u, v)
     assert abs(bilinear(form, u, v) - direct) <= 1e-12 * scale
-    assert ibp_residual(form, kernel, measure, domain, u, v) <= 1e-12 * scale
+    assert ibp_residual(form, kernel, u, v) <= 1e-12 * scale
 
 
 # -- the form against its block formula ------------------------------------------------

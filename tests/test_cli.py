@@ -139,6 +139,49 @@ def test_nonfinite_document_numbers_exit_1_before_any_solve(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def non_integer_cases():
+    dirichlet = {"kind": "dirichlet", "f": "1", "g": "0"}
+    graph = {
+        "family": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]],
+        "omega": [1, 2], "problem": dirichlet,
+    }
+    cases = {
+        "omega float": ({"omega": [1.5, 2, 3]}, "omega", "1.5"),
+        "omega strings": ({"omega": ["1", "2", "3"]}, "omega", "'1'"),
+        "omega bool": ({"omega": [True, 2, 3]}, "omega", "True"),
+        "omega float after an id": ({"omega": [1, 1.2, 3]}, "omega", "1.2"),
+        "dimension float": ({"dimension": 1.7}, "dimension", "1.7"),
+        "dimension string": ({"dimension": "1"}, "dimension", "'1'"),
+        "dimension bool": ({"dimension": True}, "dimension", "True"),
+        "dimension zero": ({"dimension": 0}, "dimension", "0"),
+        "h string": ({"h": "0.25"}, "h", "'0.25'"),
+        "tol bool": ({"tol": True}, "tol", "True"),
+    }
+    params = [
+        pytest.param({**interval_doc(dirichlet), **change}, field, entry, id=name)
+        for name, (change, field, entry) in cases.items()
+    ]
+    edges = [[0, 1.5, 1.0], [1, 2, 1.0], [2, 3, 1.0]]
+    return params + [pytest.param({**graph, "edges": edges}, "edges", "1.5", id="edge id float")]
+
+
+@pytest.mark.parametrize("data, field, entry", non_integer_cases())
+def test_non_integer_ids_and_fields_exit_1_naming_the_field(tmp_path, capsys, data, field, entry):
+    """Ids and integer fields must be integers, and h and tol numbers: each
+    bad document exits 1 with one error line naming the field and its first
+    bad entry, where it used to solve or to report another fault."""
+    assert cli.main(["solve", write_doc(tmp_path, "doc.json", data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and entry in err
+
+
+def test_integral_document_numbers_still_load():
+    data = {**interval_doc(), "dimension": 1.0, "omega": [1.0, 2, np.int64(3)], "h": 1}
+    doc = load_document({**data, "nodes": [[0.0], [1.0], [2.0], [3.0], [4.0]]})
+    assert doc.domain.omega.tolist() == [1, 2, 3] and doc.domain.gamma.tolist() == [0, 4]
+
+
 OVERFLOWING_WEIGHTS = {
     # density 1e308 times mass 2 overflows to an infinite kernel weight
     "quadrature": {

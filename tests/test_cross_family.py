@@ -77,7 +77,7 @@ def test_ibp_identity_all_families(setup, rng):
     for _ in range(50):
         u = rng.standard_normal(domain.n)
         v = rng.standard_normal(domain.n)
-        res = ibp_residual(form, kernel, measure, domain, u, v)
+        res = ibp_residual(form, kernel, u, v)
         worst = max(worst, res / max(1.0, abs(bilinear(form, u, v))))
     assert worst <= 1e-11
 
@@ -137,17 +137,17 @@ def test_graph_trace_weight_counts_interior_mass_only():
 
 def test_apply_L_rejects_exterior_reach():
     measure = AtomicMeasure([[0.0], [1.0], [2.0]])
-    symmetric = TransitionKernel([[(1, 1.0)], [(0, 1.0)], []], "graph")
+    symmetric = TransitionKernel([[(1, 1.0)], [(0, 1.0)], []])
     domain = nonlocal_boundary(symmetric, [0], measure)
     assert list(domain.exterior) == [2]
-    stray = TransitionKernel([[(2, 1.0)], [(0, 1.0)], []], "graph")
+    stray = TransitionKernel([[(2, 1.0)], [(0, 1.0)], []])
     with pytest.raises(ValueError, match="exterior"):
         apply_L(stray, domain, np.zeros(2), 0)
 
 
 def test_strong_residual_empty_boundary():
     measure = AtomicMeasure([[0.0], [1.0]])
-    kernel = TransitionKernel([[(1, 1.0)], [(0, 1.0)]], "graph")
+    kernel = TransitionKernel([[(1, 1.0)], [(0, 1.0)]])
     domain = nonlocal_boundary(kernel, [0, 1], measure)
     u = np.array([1.0, 2.0])
     r_omega, r_gamma = strong_residual(u, kernel, domain, np.array([-1.0, 1.0]), np.array([]))

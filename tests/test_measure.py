@@ -19,6 +19,7 @@ from nlbvp import (
     quadrature_kernel,
     stencil_kernel,
     symmetry_defect,
+    unit_cube_grid,
 )
 from nlbvp.errors import (
     AsymmetricDensity,
@@ -440,7 +441,49 @@ def test_kernel_rejects_bad_weights(weight, message, sparse):
         rows, cols, data = zip(*((x, t, w) for x, entries in enumerate(support) for t, w in entries))
         support = sp.coo_matrix((data, (rows, cols)), shape=(3, 3))
     with pytest.raises(ValueError, match=f"^{message} at node 1$"):
-        TransitionKernel(support, "quadrature")
+        TransitionKernel(support)
+
+
+def quadrature_lattice(n_axis, cells):
+    """The closed unit square's lattice with masses h^2 under the density
+    exp(-r^2) within delta = cells * h, and its nodes more than delta from
+    every side as the interior."""
+    h = 1.0 / n_axis
+    axis = np.arange(n_axis + 1) * h
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    measure = AtomicMeasure(points, np.full(len(points), h * h))
+    kernel = quadrature_kernel(radial_density("exp(-r*r)"), cells * h, measure)
+    inner = (points > (cells + 0.5) * h) & (points < 1.0 - (cells + 0.5) * h)
+    return kernel, nonlocal_boundary(kernel, np.flatnonzero(inner.all(axis=1)), measure)
+
+
+@pytest.mark.parametrize("family", ["quadrature", "stencil"])
+def test_evaluate_is_the_row_sum_against_the_indicator(family):
+    """K(x, S) has one definition: `evaluate` gives the bits of the row of x
+    summed against S's indicator, the sum the boundary split and the trace
+    weights take, on every node, for S the interior and a random half of the
+    nodes of a 41 x 41, delta = 3h quadrature lattice or a stencil grid."""
+    if family == "quadrature":
+        kernel, domain = quadrature_lattice(40, 3)
+    else:
+        grid = unit_cube_grid(2, 1.0 / 16.0)
+        kernel, domain = grid.kernel, grid.domain
+    n = len(kernel)
+    half = np.flatnonzero(np.random.default_rng(7).random(n) < 0.5)
+    for ids in (domain.omega, half):
+        indicator = np.zeros(n)
+        indicator[ids] = 1.0
+        row_sums = kernel.matrix @ indicator
+        values = np.array([kernel.evaluate(x, ids.tolist()) for x in range(n)])
+        assert_array_equal(values, row_sums)
+
+
+def test_evaluate_refuses_ids_outside_the_kernel():
+    kernel = TransitionKernel([[(1, 1.0)], [(0, 2.0)]])
+    for node, targets in [(0, [2]), (0, [-1]), (2, [0]), (-1, [0])]:
+        with pytest.raises(ValueError, match=r"outside 0\.\.1$"):
+            kernel.evaluate(node, targets)
+    assert kernel.evaluate(1, range(2)) == 2.0
 
 
 # -- nonlocal boundary ---------------------------------------------------------------
@@ -467,7 +510,7 @@ def test_boundary_one_step_reach():
 
 def test_weak_boundary_flag():
     support = [[(1, 1e-15)], [(0, 1e-15)]]
-    kernel = TransitionKernel(support, "quadrature")
+    kernel = TransitionKernel(support)
     measure = AtomicMeasure([[0.0], [1.0]])
     domain = nonlocal_boundary(kernel, [0], measure)
     assert list(domain.gamma) == [1]
@@ -488,7 +531,7 @@ def test_broken_kernel_has_positive_defect():
     kernel = stencil_kernel(1, 0.25, measure)
     support = [list(kernel.entries(i)) for i in range(len(measure))]
     support[2] = [entry for entry in support[2] if entry.target != 1]
-    broken = TransitionKernel(support, "stencil")
+    broken = TransitionKernel(support)
     assert symmetry_defect(broken, measure) == 16.0
 
 

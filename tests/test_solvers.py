@@ -306,7 +306,7 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
         [(j, weights[i, j] / masses[i]) for j in range(n) if weights[i, j] > 0.0]
         for i in range(n)
     ]
-    kernel = TransitionKernel(support, "quadrature")
+    kernel = TransitionKernel(support)
     domain = nonlocal_boundary(kernel, omega, measure)
     form = assemble_form(kernel, measure, domain)
     m, l = domain.m, domain.l
@@ -345,7 +345,7 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
 def graph_setup(weights, masses):
     """(kernel, measure) of the kernel W[i, j] / masses[i] on nodes 0..n-1."""
     measure = AtomicMeasure([[float(i)] for i in range(len(masses))], masses)
-    return TransitionKernel(sp.csr_matrix(weights / masses[:, None]), "quadrature"), measure
+    return TransitionKernel(sp.csr_matrix(weights / masses[:, None])), measure
 
 
 def graph_form(weights, masses, omega):
@@ -453,14 +453,14 @@ def test_neumann_matches_dense_least_squares(loaded):
     # product is off by up to half the smallest subnormal instead, a multiply
     # by a basis weight then scales that, and each side rounds n products
     rounding = 10 * form.n * np.finfo(float).eps
-    defect = compatibility_defect(load[:m], load[m:], basis, form.measure)
+    defect = compatibility_defect(load[:m], load[m:], basis)
     scale = np.max(np.abs(w).T @ np.abs(mass * load))
     underflow = form.n * (1.0 + np.max(w, initial=0.0)) * np.finfo(float).smallest_subnormal
     assert abs(defect - np.max(np.abs(w.T @ (mass * load)))) <= rounding * scale + underflow
     reached = np.isin(basis.components, basis.labels[:m])  # a component with no interior node stays
     gram = w[:m, reached].T @ (mass[:m, None] * w[:m, reached])
     dense = load - w[:, reached] @ np.linalg.solve(gram, w[:m, reached].T @ (mass[:m] * load[:m]))
-    assert np.max(np.abs(project_out_kernel(load, basis, form.measure) - dense)) <= rounding
+    assert np.max(np.abs(project_out_kernel(load, basis) - dense)) <= rounding
     load = load - w @ (w.T @ (mass * load))  # compatible: pairs with no kernel vector
     # the range projection (by QR), on which the dense reference is solved: a
     # load that lies in the kernel up to rounding then has the reference 0
@@ -768,4 +768,4 @@ def test_dirichlet_solution_passes_max_principle(rng):
         f = -rng.random(grid.m)
         g = rng.standard_normal(grid.l)
         sol = solve_dirichlet(DirichletProblem(form, f, g))
-        assert max_principle_check(sol.u, form, grid.domain) is True
+        assert max_principle_check(sol.u, grid.domain) is True
