@@ -38,7 +38,7 @@ from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import EmptyGamma, NonPositiveC
-from .measure import WEAK_BOUNDARY_THRESHOLD, _indicator
+from .measure import WEAK_BOUNDARY_THRESHOLD, _indicator, _node_ids
 
 NULLSPACE_TOL_FACTOR = 1e-9  # default eigenvalue threshold: factor * largest diagonal
 MAX_PRINCIPLE_TOL = 1e-12
@@ -356,7 +356,7 @@ def friedrichs_chain_holds(kernel, domain, partition):
     partition: the first cell must reach the boundary, every later cell must
     reach its predecessor, each with positive kernel mass at every node."""
     n = len(kernel)
-    cells = [np.unique(np.fromiter(map(int, cell), dtype=int)) for cell in partition]
+    cells = [np.unique(_node_ids(cell)) for cell in partition]
     ids = np.concatenate([np.zeros(0, dtype=int), *cells])
     disjoint = all(cell.size for cell in cells) and np.unique(ids).size == ids.size
     if not disjoint or not np.isin(ids, domain.omega).all():

@@ -335,7 +335,7 @@ def load_document(source):
             raise DocumentError(f"unknown kernel family {family!r}")
         omega = _require(data, "omega")
         _integers(omega, "omega")
-        if not omega:
+        if not len(omega):
             raise DocumentError("omega must not be empty")
         domain = nonlocal_boundary(kernel, omega, measure)
     except DocumentError:

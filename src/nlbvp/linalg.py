@@ -2,12 +2,12 @@
 
 Two workhorses live here:
 
-* a preconditioned conjugate-gradient loop for symmetric positive
-  (semi-)definite systems, stopped on the unpreconditioned residual; on a
-  consistent singular system a kernel component the iterate picks up is
-  removed by the caller's final mass-orthogonal shift.  The preconditioner
-  is the matrix's own diagonal (Jacobi) unless the caller passes one, such
-  as the shifted factor an eigensolve leaves behind;
+* a preconditioned conjugate-gradient loop for symmetric positive definite
+  systems, stopped on the unpreconditioned residual and run on the load
+  scaled by a power of two to a largest entry in [1/2, 1), which changes no
+  iterate but its exponent.  The preconditioner is the matrix's own diagonal
+  (Jacobi) unless the caller passes one, such as the shifted factor an
+  eigensolve leaves behind;
 * the package's one eigensolver, for the smallest eigenpairs of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization per call of the pencil, scaled and shifted on
@@ -44,8 +44,10 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
 
     Parameters
     ----------
-    matrix : sparse matrix, symmetric positive (semi-)definite
+    matrix : sparse matrix, symmetric positive definite
     rhs : ndarray
+        Scaled with x0 by the power of two that puts its largest entry in
+        [1/2, 1), so that no norm or product over- or underflows.
     tol : float
         Accept when ||rhs - matrix x|| <= tol * ||rhs|| (true residual).  When
         rounding keeps the true residual above that while the recurrence
@@ -61,8 +63,8 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
     preconditioner : callable, optional
         z = preconditioner(r), a symmetric positive definite approximation of
         matrix^{-1} applied to r.  By default z = D^{-1} r with D the
-        diagonal of the matrix (weight 1 on a zero diagonal entry), written
-        in place.  Every stopping rule reads the unpreconditioned residual
+        diagonal of the matrix, positive since the matrix is, written in
+        place.  Every stopping rule reads the unpreconditioned residual
         whichever preconditioner runs.
 
     Returns
@@ -75,9 +77,11 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
     if maxiter is None:
         maxiter = max(1000, 10 * n)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
+    if not np.any(rhs):
         return np.zeros(n), 0.0, 0
+    exponent = np.frexp(np.max(np.abs(rhs)))[1]
+    rhs, x = np.ldexp(rhs, -exponent), np.ldexp(x, -exponent)
+    rhs_norm = float(np.linalg.norm(rhs))
     matrix_norm = None
 
     def accepted(x):
@@ -93,8 +97,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
         return true_res, bool(np.max(np.abs(residual)) <= floor)
 
     if preconditioner is None:
-        diag = matrix.diagonal()
-        weight = 1.0 / np.where(diag == 0.0, 1.0, diag)  # z = D^{-1} r; weight 1 on a zero diagonal
+        weight = 1.0 / matrix.diagonal()  # z = D^{-1} r
         buffer = np.empty(n)
 
         def preconditioner(r):
@@ -109,7 +112,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
         if np.sqrt(r @ r) <= tol * rhs_norm:
             true_res, done = accepted(x)
             if done:
-                return x, true_res / rhs_norm, k - 1
+                return np.ldexp(x, exponent), true_res / rhs_norm, k - 1
         ap = matrix @ p
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -117,7 +120,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
             # attainable floor; accept the iterate when it already qualifies
             true_res, done = accepted(x)
             if done:
-                return x, true_res / rhs_norm, k - 1
+                return np.ldexp(x, exponent), true_res / rhs_norm, k - 1
             raise NoConvergence(
                 f"CG breakdown at iteration {k} on a size-{n} system: matrix is not "
                 "positive definite on the search space"
@@ -144,7 +147,7 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
         rz = rz_new
     true_res, done = accepted(x)
     if done:
-        return x, true_res / rhs_norm, maxiter
+        return np.ldexp(x, exponent), true_res / rhs_norm, maxiter
     raise NoConvergence(
         f"CG did not reach relative residual {tol} in {maxiter} iterations on a "
         f"size-{n} system (reached {true_res / rhs_norm:.3e})"

@@ -205,6 +205,14 @@ class AtomicMeasure:
         return np.flatnonzero((dist > 0.0) & (dist <= radius)).tolist()
 
 
+def _node_ids(ids):
+    """Node ids (any iterable) as an int64 array; a non-integer id is a ValueError."""
+    values = np.fromiter(ids, dtype=float)
+    if np.any(values % 1):
+        raise ValueError(f"node id {values[values % 1 != 0][0]} is not an integer")
+    return values.astype(np.int64)
+
+
 def _indicator(n, ids):
     """The 0/1 vector of the node set `ids` over n nodes: every K(x, S) is
     (K @ _indicator(n, S))[x].  An id outside 0..n-1 is a ValueError."""
@@ -266,10 +274,11 @@ class TransitionKernel:
 
     def evaluate(self, node, targets):
         """K(node, S) for a node set S given as ids: the bits of
-        `(matrix @ _indicator(n, S))[node]`; an id outside 0..n-1 is a ValueError."""
+        `(matrix @ _indicator(n, S))[node]`; a non-integer id or one outside 0..n-1
+        is a ValueError."""
         if not 0 <= node < len(self):
             raise ValueError(f"node id {node} is outside 0..{len(self) - 1}")
-        return float((self.matrix[node] @ _indicator(len(self), list(targets)))[0])
+        return float((self.matrix[node] @ _indicator(len(self), _node_ids(targets)))[0])
 
 
 @dataclass(frozen=True)
@@ -317,9 +326,9 @@ def nonlocal_boundary(kernel, omega, measure):
     The split is exact: kernel masses toward omega are finite sums, the rows
     of K summed against omega's indicator.  Nodes whose mass toward omega is
     positive but below WEAK_BOUNDARY_THRESHOLD are kept in the boundary and
-    listed in `weak_gamma`.  An id outside the measure is a ValueError.
+    listed in `weak_gamma`.  A non-integer id or one outside the measure is a ValueError.
     """
-    omega_ids = np.sort(np.fromiter(omega, dtype=int))
+    omega_ids = np.sort(_node_ids(omega))
     n = len(measure)
     if np.any(np.diff(omega_ids) == 0):
         raise ValueError("omega contains duplicate nodes")

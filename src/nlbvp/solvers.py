@@ -4,10 +4,10 @@ Dirichlet: the boundary trace is imposed exactly by zero-extending the data
 into the interior, moving its energy pairing to the right-hand side, and
 solving the positive-definite interior block by conjugate gradients.
 
-Neumann: the load is projected once onto the range of the full singular
-system, which conjugate gradients then solve from zero with no projection in
-the loop; one shift along the nullspace then gives the mass-orthogonal
-representative and removes any kernel component the iterate picked up.
+Neumann: conjugate gradients solve the range-projected load on the form with
+the first node of each component pinned by its own mass, a positive-definite
+system solved by the solution that vanishes on the pinned nodes; one shift
+along the nullspace then gives the mass-orthogonal representative.
 
 Each solve first checks well-posedness on the kept-coupling components of
 the form's graph (`analysis.nullspace`'s rule; the Dirichlet gate labels at
@@ -70,14 +70,6 @@ class Solution:
     kind: str = ""
 
 
-def _compat_tol(problem):
-    form = problem.form
-    scale = float(np.abs(problem.f) @ form.mass_omega) + float(
-        np.abs(problem.g) @ form.mass_diag[form.domain.m:]
-    )
-    return COMPAT_TOL_FACTOR * max(scale, 1.0)
-
-
 def _cg(stage, form, matrix, rhs, tol, x0=None, preconditioner=None):
     """`linalg.conjugate_gradient`, its NoConvergence naming the solve and n."""
     try:
@@ -132,23 +124,20 @@ def solve_neumann(problem, basis, tol=DEFAULT_SOLVE_TOL):
             "no spectral gap above the nullspace: the Poincare inequality fails"
         )
     defect = analysis.compatibility_defect(problem.f, problem.g, basis)
-    limit = _compat_tol(problem)
+    b = form.mass_diag * np.concatenate([problem.f, problem.g])
+    limit = COMPAT_TOL_FACTOR * max(float(np.abs(b).sum()), 1.0)
     if defect > limit:
         raise IncompatibleData(
             f"compatibility condition violated: the load pairs with the "
             f"nullspace (defect={defect:.6e}, tolerance={limit:.6e}); "
             "no solution exists"
         )
-    b = form.mass_diag * np.concatenate([problem.f, problem.g])
-    labels, size = basis.labels, basis._sums(np.ones(form.n))
-    rhs = b - (basis._sums(b) / size)[labels]  # the range: no component mean
-    if 2.0 * (rhs @ rhs) < b @ b:  # b was mostly kernel: project away the rounding left there
-        rhs -= (basis._sums(rhs) / size)[labels]
-    if np.linalg.norm(rhs) <= b.size * np.finfo(float).eps * np.linalg.norm(b):
-        rhs[:] = 0.0  # the load lies in the kernel up to the rounding of its projection
-    x, residual, iterations = _cg("neumann", form, form.matrix, rhs, tol)
+    rhs = b - (basis._sums(b) / basis._sums(np.ones(form.n)))[basis.labels]  # no component mean
+    first = np.unique(basis.labels, return_index=True)[1]  # the first node of each component
+    pinned = form.matrix + sp.diags(np.bincount(first, form.mass_diag[first], form.n))
+    x, residual, iterations = _cg("neumann", form, pinned, rhs, tol)
     # the mass-orthogonal representative: no component mass-weighted mean
-    x -= (basis._sums(form.mass_diag * x) / basis._sums(form.mass_diag))[labels]
+    x -= (basis._sums(form.mass_diag * x) / basis._sums(form.mass_diag))[basis.labels]
     return Solution(u=x, residual=residual, iterations=iterations, projected=True, kind="neumann")
 
 
@@ -178,9 +167,7 @@ def solve_regularized(problem, c, tol=DEFAULT_SOLVE_TOL):
             f"augmented system still has a numerical kernel: {uncovered} of "
             f"{basis.dimension} graph components hold no node with c >= {basis.tolerance:.3e}"
         )
-    shift = np.zeros(form.n)
-    shift[:m] = c * form.mass_omega
-    augmented = (form.matrix + sp.diags(shift)).tocsr()
+    augmented = form.matrix + sp.diags(np.r_[c * form.mass_omega, np.zeros(form.domain.l)])
     b = form.mass_diag * np.concatenate([problem.f, problem.g])
     x, residual, iterations = _cg("regularized", form, augmented, b, tol)
     return Solution(u=x, residual=residual, iterations=iterations, projected=False, kind="regularized")

@@ -754,6 +754,14 @@ def test_friedrichs_chain_rejects_bad_partition():
         friedrichs_chain_holds(grid.kernel, grid.domain, [list(omega), [omega[0]]])
 
 
+def test_friedrichs_chain_refuses_non_integer_ids():
+    grid, _ = interval_setup(0.25)
+    assert grid.domain.omega.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError, match=r"node id 1\.5 is not an integer"):
+        friedrichs_chain_holds(grid.kernel, grid.domain, [[1.5, 3], [2]])
+    assert friedrichs_chain_holds(grid.kernel, grid.domain, [[1.0, 3], [2]]) is True
+
+
 # -- invariants ----------------------------------------------------------------------
 
 

@@ -182,6 +182,15 @@ def test_integral_document_numbers_still_load():
     assert doc.domain.omega.tolist() == [1, 2, 3] and doc.domain.gamma.tolist() == [0, 4]
 
 
+def test_numpy_omega_loads():
+    """A parsed document's omega may be a numpy array; an empty one is still
+    refused as empty."""
+    doc = load_document({**interval_doc(), "omega": np.array([1, 2, 3])})
+    assert doc.domain.omega.tolist() == [1, 2, 3] and doc.domain.gamma.tolist() == [0, 4]
+    with pytest.raises(DocumentError, match="omega must not be empty"):
+        load_document({**interval_doc(), "omega": np.array([])})
+
+
 OVERFLOWING_WEIGHTS = {
     # density 1e308 times mass 2 overflows to an infinite kernel weight
     "quadrature": {

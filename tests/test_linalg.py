@@ -66,6 +66,22 @@ def test_cg_scales_away_a_spread_diagonal():
     assert_allclose(x, b / diag, rtol=1e-14)
 
 
+def test_cg_iterates_scale_by_powers_of_two(rng):
+    """CG runs on the load scaled by the power of two that puts its largest
+    entry in [1/2, 1): the iterate for b 2^k is 2^k times the iterate for b,
+    bit for bit, for loads of norm 1e-301 to 1e302.  Unscaled, p.Ap underflows
+    at a load of norm about 1e-158, ||b|| underflows to 0 below about 1e-162,
+    and it overflows above about 1e154."""
+    a = random_spd(8, rng)
+    b = rng.standard_normal(8)
+    x0 = rng.standard_normal(8)
+    x, relres, iters = conjugate_gradient(a, b, x0=x0)
+    for k in (-1000, -540, -525, -200, -1, 1, 200, 520, 1000):
+        scaled, scaled_relres, scaled_iters = conjugate_gradient(a, np.ldexp(b, k), x0=np.ldexp(x0, k))
+        assert np.array_equal(scaled, np.ldexp(x, k)), k
+        assert (scaled_relres, scaled_iters) == (relres, iters), k
+
+
 def test_cg_is_deterministic(rng):
     a = random_spd(25, rng)
     b = rng.standard_normal(25)

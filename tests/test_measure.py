@@ -489,6 +489,13 @@ def test_evaluate_refuses_ids_outside_the_kernel():
 # -- nonlocal boundary ---------------------------------------------------------------
 
 
+def test_boundary_refuses_non_integer_ids():
+    grid = unit_cube_grid(1, 0.25)
+    with pytest.raises(ValueError, match=r"node id 1\.5 is not an integer"):
+        nonlocal_boundary(grid.kernel, [1.5, 2, 3], grid.measure)
+    assert nonlocal_boundary(grid.kernel, [1.0, 2, 3], grid.measure).omega.tolist() == [1, 2, 3]
+
+
 def test_boundary_of_center_node_2d():
     pts = [[i * 0.5, j * 0.5] for i in range(3) for j in range(3)]
     measure = AtomicMeasure(pts)

@@ -437,7 +437,24 @@ def lone_loaded_node_example():
     return graph_form(weights, masses, [0, 1, 2, 3]), np.eye(5)[1]
 
 
+def spread_chain_example(edges, load):
+    """A `spread_graph_forms` draw on nine nodes of masses log-spaced over
+    [1e-2, 1e2], with omega {1, 3} and the coupling weights `edges`, in which
+    nodes 1 and 3 are joined by a weak coupling: a 4- or 5-node form of one
+    component and a load in the form's canonical order.  CG on the singular
+    form drifted along its kernel on these."""
+    weights = np.zeros((9, 9))
+    for i, j, w in edges:
+        weights[i, j] = weights[j, i] = w
+    return graph_form(weights, np.logspace(-2.0, 2.0, 9), [1, 3]), np.array(load)
+
+
 @example(lone_loaded_node_example())
+# drawn at --hypothesis-seed=36: a CG stall at step 250, a breakdown at step 12, and an
+# iterate 225 away from the reference against a bound of 1.78
+@example(spread_chain_example([(1, 3, 1e-05), (1, 8, 3.162277660168379), (2, 3, 0.0316227766016838), (3, 7, 5.0)], np.eye(5)[3]))
+@example(spread_chain_example([(1, 3, 1.953125e-05), (1, 8, 3.162277660168379), (3, 7, 5.0)], np.eye(4)[3]))
+@example(spread_chain_example([(1, 3, 3.90625e-05), (1, 8, 3.162277660168379), (3, 7, 5.0)], np.eye(4)[3]))
 # subnormal loads: each product rounds to the subnormal grid
 @example((graph_form(np.array([[0.0, 0.375], [0.375, 0.0]]), np.array([1.0, 0.5]), [0]), np.full(2, 2.2250738585e-313)))
 @settings(max_examples=300, deadline=None)
