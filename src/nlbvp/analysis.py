@@ -200,38 +200,30 @@ def friedrichs_constant(form, return_inverse=False):
     couples to at most one interior node, the form keeps the factorization's
     elimination order as `shared_order` for its Poincare pencils.
     """
-    m = form.domain.m
-    lam, vec, inverse, order = linalg.smallest_eigenpairs(
-        form.omega_block, form.mass_omega, count=1, return_inverse=True
-    )
+    value, vector, inverse, order = linalg.smallest_eigenpairs(form.omega_block, form.mass_omega)
     # with at most one interior neighbour per boundary node, A_oo has pattern P
     if np.bincount(form.gamma_block.indices, minlength=1).max() <= 1:
         form.shared_order = order
-    witness = np.zeros(form.n)
-    witness[:m] = vec[:, 0]
-    report = _gap_report(lam, witness, interior_tol(form))
+    witness = np.concatenate([vector, np.zeros(form.domain.l)])  # zero on the boundary
+    report = _gap_report(value, witness, interior_tol(form))
     return (report, inverse) if return_inverse else report
 
 
-def _gap_report(lam, witness, tolerance):
-    if lam.size == 0:
-        # the nullspace spans everything: the projected inequality holds with
-        # an arbitrarily small constant
-        return InequalityReport(constant=0.0, eigenvalue=np.inf, witness=witness)
-    if lam[0] <= tolerance:
-        return InequalityReport(constant=np.inf, eigenvalue=lam[0], witness=witness)
-    return InequalityReport(constant=1.0 / lam[0], eigenvalue=lam[0], witness=witness)
+def _gap_report(value, witness, tolerance):
+    """Constant 1 / value, +inf when value <= tolerance; 0 when value is inf
+    (the nullspace spans everything), as any constant then holds."""
+    constant = np.inf if value <= tolerance else 1.0 / value
+    return InequalityReport(constant=constant, eigenvalue=value, witness=witness)
 
 
 def _poincare_full(form, basis):
     order = form.shared_order
     if order is not None:  # the boundary nodes first, then P in its kept order
         order = np.concatenate([np.arange(form.domain.m, form.n), order])
-    lam, vec = linalg.smallest_eigenpairs(
-        form.matrix, form.mass_diag, count=1, deflate=basis._spanned_labels(), order=order
+    value, vector, _, _ = linalg.smallest_eigenpairs(
+        form.matrix, form.mass_diag, deflate=basis._spanned_labels(), order=order
     )
-    witness = vec[:, 0] if lam.size else np.zeros(form.n)
-    return _gap_report(lam, witness, basis.tolerance)
+    return _gap_report(value, vector, basis.tolerance)
 
 
 def _poincare_omega(form, basis):
@@ -255,12 +247,11 @@ def _poincare_omega(form, basis):
     y.data *= np.sqrt(inverse_gg)[y.indices]
     schur = form.omega_block - y @ y.T
     labels = basis._spanned_labels()[:m]
-    lam, vec = linalg.smallest_eigenpairs(
-        schur, form.mass_omega, count=1, deflate=labels, order=form.shared_order
+    value, interior, _, _ = linalg.smallest_eigenpairs(
+        schur, form.mass_omega, deflate=labels, order=form.shared_order
     )
-    interior = vec[:, 0] if lam.size else np.zeros(m)
     witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])
-    return _gap_report(lam, witness, basis.tolerance)
+    return _gap_report(value, witness, basis.tolerance)
 
 
 def poincare_constant(form, basis, variant="full"):

@@ -14,9 +14,10 @@ Documents are JSON with the fixed kernel/measure fields
 plus an optional problem block {kind, f, g, c} and the CG tolerance tol.  Load
 data f/g/c may be per-node value lists, expression strings over the
 coordinates, or {"table": path} to reuse a previously written solution table.
-Every number must be finite (h, delta and tol also positive), dimension and
-the ids of omega and edges integral; anything else is a DocumentError naming
-the field, raised before any solve.
+The document and the problem block are JSON objects, omega, nodes, edges and
+each edge lists.  Every number must be finite (h, delta and tol also
+positive), dimension and the ids of omega and edges integral; anything else
+is a DocumentError naming the field, raised before any solve.
 
 Expressions (the load data and gamma) follow one small grammar, checked on
 the parsed tree before anything is evaluated: numeric constants (taken as
@@ -241,8 +242,16 @@ def _require(data, key):
     return data[key]
 
 
+def _sequence(value, name):
+    """`value`; a DocumentError naming `name` unless it is a list (in a parsed
+    dict also a tuple or a numpy array)."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise DocumentError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _parse_nodes(data, dimension):
-    raw = _require(data, "nodes")
+    raw = _sequence(_require(data, "nodes"), "nodes")
     try:  # a rectangular node list is read in one call
         table = np.array(raw, dtype=float)
     except (TypeError, ValueError):
@@ -262,9 +271,9 @@ def _parse_nodes(data, dimension):
 
 
 def _integers(values, name, least=0):
-    """A DocumentError naming `name` and the first entry of `values`, if a raw
-    JSON list, that is not an integral number >= `least` (a bool is none)."""
-    for value in values if isinstance(values, list) else ():
+    """A DocumentError naming `name` and the first entry of `values` that is
+    not an integral number >= `least` (a bool is none)."""
+    for value in values:
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 or value < least:
             raise DocumentError(f"{name}: {value!r} is not an integer >= {least}")
 
@@ -281,7 +290,9 @@ def _node_values(raw, points, count, name):
         return np.zeros(count)
     if isinstance(raw, str):
         values = evaluate_expression(raw, points)
-    elif isinstance(raw, dict) and "table" in raw:
+    elif isinstance(raw, dict):
+        if not isinstance(raw.get("table"), str):
+            raise DocumentError(f'{name!r} as an object must be {{"table": path}}')
         values = gamma_values_from_table(raw["table"])
         if values.shape != (count,):
             raise DocumentError(
@@ -310,6 +321,8 @@ def load_document(source):
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise DocumentError(f"cannot read document: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DocumentError(f"document must be a JSON object, got {type(data).__name__}")
     family = _require(data, "family")
     try:
         if family in ("stencil", "quadrature"):
@@ -327,13 +340,14 @@ def load_document(source):
             measure = AtomicMeasure(points, masses)
             kernel = quadrature_kernel(density, delta, measure)
         elif family == "graph":
-            edges = _require(data, "edges")
-            if isinstance(edges, list):  # the vertex ids of each edge
-                _integers([i for edge in edges for i in edge[:2]], "edges")
-            kernel, measure = graph_kernel(edges, coordinates=data.get("nodes"))
+            edges = _sequence(_require(data, "edges"), "edges")
+            _integers([i for edge in edges for i in _sequence(edge, "edges entry")[:2]], "edges")
+            nodes = data.get("nodes")  # optional vertex coordinates
+            coordinates = None if nodes is None else _sequence(nodes, "nodes")
+            kernel, measure = graph_kernel(edges, coordinates)
         else:
             raise DocumentError(f"unknown kernel family {family!r}")
-        omega = _require(data, "omega")
+        omega = _sequence(_require(data, "omega"), "omega")
         _integers(omega, "omega")
         if not len(omega):
             raise DocumentError("omega must not be empty")
@@ -342,7 +356,9 @@ def load_document(source):
         raise
     except Exception as exc:
         raise DocumentError(str(exc)) from exc
-    problem = data.get("problem") or {}
+    problem = {} if data.get("problem") is None else data["problem"]
+    if not isinstance(problem, dict):
+        raise DocumentError(f"problem must be a JSON object, got {type(problem).__name__}")
     kind = problem.get("kind")
     if kind is not None and kind not in ("dirichlet", "neumann", "regularized"):
         raise DocumentError(f"unknown problem kind {kind!r}")

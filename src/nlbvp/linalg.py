@@ -8,16 +8,14 @@ Two workhorses live here:
   iterate but its exponent.  The preconditioner is the matrix's own diagonal
   (Jacobi) unless the caller passes one, such as the shifted factor an
   eigensolve leaves behind;
-* the package's one eigensolver, for the smallest eigenpairs of the
+* the package's one eigensolver, for the smallest eigenpair of the
   generalized symmetric problem A v = lambda D v with diagonal positive D:
   one sparse LU factorization per call of the pencil, scaled and shifted on
   its CSR arrays, for ARPACK's shift-invert Lanczos, deflated by a component
   labelling in one `bincount`.  The LU eliminates in a multiple minimum
   degree (MMD) order of the pencil's own pattern, or in an order the caller
-  hands in.  On request the factorization is handed back as the solve of the
-  shifted pencil A + s D, a preconditioner for A, with the order it used.
-  Its stopping rule and the accuracy of its eigenvalues are set out in
-  `smallest_eigenpairs`.
+  hands in, and is handed back with that order as the solve of the shifted
+  pencil A + s D, a preconditioner for A.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
 """
@@ -154,43 +152,39 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
     )
 
 
-def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=False, order=None):
-    """Smallest eigenpairs of A v = lambda D v, D = diag(masses) positive.
+def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
+    """Smallest eigenpair of A v = lambda D v, D = diag(masses) positive, on
+    the D-orthogonal complement of the components `deflate` labels (an id per
+    node, -1 on a node none holds; they should span an invariant subspace,
+    such as a nullspace), of dimension free = n - (deflated components).
 
     Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
-    B is exactly symmetric when A is, and refused otherwise), restricted to the
-    D-orthogonal complement of the components `deflate` labels (an id per
-    node, -1 on a node none holds; they should span an invariant subspace,
-    such as a nullspace): x - w (sum_c w x)[id], w = sqrt(m / M_c), one
-    `bincount`, skipped when nothing is deflated.  B + s I, s = 1e-6 ||B||_inf
-    added on the diagonal, is factored once by `splu`, and ARPACK's
-    shift-invert Lanczos (`eigsh`, sigma = -s) runs on that factorization from
-    a fixed start vector.  The factorization eliminates the nodes in a
-    multiple minimum degree order of the pattern of A + A^T (SuperLU's
-    MMD_AT_PLUS_A), or, when `order` is given (node ids, the first eliminated
-    first), it factors B + s I permuted symmetrically to `order` in its
-    natural order: a fill-reducing order computed once serves every pencil
-    of its pattern.  Its Krylov basis holds min(free, 2 count + 4)
-    vectors (6 for one pair; free = n - deflated components) and it stops
-    when each Ritz residual is at most EIGEN_TOL times its Ritz value.  The
-    Ritz value's relative error is then at most about EIGEN_TOL^2 over the
-    relative gap to the next eigenvalue (Kato-Temple), below rounding unless
-    that gap is under 1e-4, so the eigenvalues are those of a machine-precision
-    run with fewer solves.  ARPACK needs `count` below free - 1; otherwise a
-    dense `eigh` answers on the free nodes and those of deflated components
-    of 2+ nodes, at most 2 (count + 1).  Either way each eigenvalue is
-    returned as the Rayleigh quotient v^T A v / v^T D v of its vector, one
-    sparse product for all of them.
-
-    With `return_inverse` the factorization outlives the call as a third
-    value, the function r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r
-    (no deflation applied), and the elimination order it used as a fourth, in
-    the form `order` takes; both are None when the dense path answered.
+    B is exactly symmetric when A is, and refused otherwise), projected by
+    x - w (sum_c w x)[id], w = sqrt(m / M_c), one `bincount`, skipped when
+    nothing is deflated.  B + s I, s = 1e-6 ||B||_inf added on the diagonal,
+    is factored once by `splu`, and ARPACK's shift-invert Lanczos (`eigsh`,
+    sigma = -s) runs on that factorization from a fixed start vector.  The
+    factorization eliminates the nodes in a multiple minimum degree order of
+    the pattern of A + A^T (SuperLU's MMD_AT_PLUS_A), or, when `order` is
+    given (node ids, the first eliminated first), it factors B + s I permuted
+    symmetrically to `order` in its natural order: a fill-reducing order
+    computed once serves every pencil of its pattern.  Its Krylov basis holds
+    min(free, 6) vectors, and it stops when the Ritz residual is at most
+    EIGEN_TOL times the Ritz value, whose relative error is then at most
+    about EIGEN_TOL^2 over the relative gap to the next eigenvalue
+    (Kato-Temple): below rounding unless that gap is under 1e-4.  ARPACK
+    needs free > 2; with free <= 2 a dense `eigh` answers on the free nodes
+    and those of deflated components of 2+ nodes.  Either way the eigenvalue
+    is the Rayleigh quotient v^T A v / v^T D v of its vector.
 
     Returns
     -------
-    (eigenvalues, vectors) or (eigenvalues, vectors, inverse, order)
-        Eigenvalues ascending; vectors D-orthonormal, one column each.
+    (value, vector, inverse, order)
+        The eigenvalue and its D-normalized vector, inf and the zero vector
+        when free = 0.  `inverse` is the factorization as the solve
+        r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r (no
+        deflation applied), a preconditioner for A, and `order` the
+        elimination order it used; both are None when nothing was factored.
     """
     n = matrix.shape[0]
     scale = 1.0 / np.sqrt(masses)
@@ -207,14 +201,15 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
     size = np.bincount(ids)
     weight = np.where(ids > 0, np.sqrt(masses / np.bincount(ids, masses)[ids]), 0.0)
     free = n - np.count_nonzero(size[1:])
-    count = min(count, free)
-    if count >= free - 1:  # on the free nodes and deflated components of 2+ nodes: <= 2 * free
+    if free == 0:
+        return np.inf, np.zeros(n), None, None
+    if free <= 2:  # on the free nodes and deflated components of 2+ nodes: <= 2 * free
         kept = np.flatnonzero((ids == 0) | (size[ids] > 1))
         spanned = np.flatnonzero(size[1:] > 1) + 1
         complement = scipy.linalg.null_space((ids[kept] == spanned[:, None]) * weight[kept])
-        values, coords = scipy.linalg.eigh(complement.T @ (b[kept][:, kept] @ complement))
-        values, vectors = values[:count], np.zeros((n, count))
-        vectors[kept] = complement @ coords[:, :count]
+        _, coords = scipy.linalg.eigh(complement.T @ (b[kept][:, kept] @ complement))
+        vector = np.zeros(n)
+        vector[kept] = complement @ coords[:, 0]  # eigh's first: the smallest
         shifted_inverse = order = None
     else:
         filled = np.flatnonzero(np.diff(matrix.indptr))  # ||B||_inf: the largest row sum of |B|
@@ -240,23 +235,18 @@ def smallest_eigenpairs(matrix, masses, count=1, deflate=None, return_inverse=Fa
         inverse = spla.LinearOperator((n, n), lambda x: project(solve(project(x))), dtype=float)
         start = project(np.random.default_rng(0).standard_normal(n))
         try:
-            values, vectors = spla.eigsh(
-                b, k=count, sigma=-shift, OPinv=inverse, v0=start,
-                ncv=min(free, 2 * count + 4), tol=EIGEN_TOL,
-            )
+            vector = spla.eigsh(
+                b, k=1, sigma=-shift, OPinv=inverse, v0=start, ncv=min(free, 6), tol=EIGEN_TOL
+            )[1].ravel()
         except spla.ArpackError as exc:
             raise EigensolverFailure(
-                f"shift-invert Lanczos failed on {count} eigenpairs of a size-{n} pencil: {exc}"
+                f"shift-invert Lanczos failed on the smallest eigenpair of a size-{n} pencil: {exc}"
             ) from exc
-        vectors = vectors[:, np.argsort(values)]
 
         def shifted_inverse(r):
             return scale * solve(scale * r)
 
-    vectors = vectors * scale[:, None]
-    # each vector's Rayleigh quotient, free of the back-transform's error
-    energy = np.sum(vectors * (matrix @ vectors), axis=0)
-    values = energy / np.sum(vectors**2 * masses[:, None], axis=0)
-    if return_inverse:
-        return values, vectors, shifted_inverse, order
-    return values, vectors
+    vector = vector * scale
+    # the Rayleigh quotient, free of the back-transform's error
+    value = np.sum(vector * (matrix @ vector)) / np.sum(vector**2 * masses)
+    return value, vector, shifted_inverse, order

@@ -176,6 +176,51 @@ def test_non_integer_ids_and_fields_exit_1_naming_the_field(tmp_path, capsys, da
     assert field in err and entry in err
 
 
+def wrong_type_cases():
+    dirichlet = {"kind": "dirichlet", "f": "1", "g": "0"}
+    regularized = {"kind": "regularized", "f": "1", "g": "0", "c": "1"}
+    graph = {
+        "family": "graph", "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]],
+        "omega": [1, 2], "problem": dirichlet,
+    }
+    cases = {
+        "document number": (5, "document must be a JSON object"),
+        "problem list": ({**interval_doc(), "problem": [1, 2]}, "problem"),
+        "f object": (interval_doc({**dirichlet, "f": {"x": 1}}), "'f'"),
+        "g object": (interval_doc({**dirichlet, "g": {"x": 1}}), "'g'"),
+        "c object": (interval_doc({**regularized, "c": {"x": 1}}), "'c'"),
+        "f table not a path": (interval_doc({**dirichlet, "f": {"table": 1.5}}), "'f'"),
+        "omega digits": ({**interval_doc(dirichlet), "omega": "123"}, "omega"),
+        "omega object": ({**interval_doc(dirichlet), "omega": {"a": 1}}, "omega"),
+        # unchecked, the string reads as the nodes 1, 2, 3 of a step-1 lattice
+        "nodes digits": ({**interval_doc(dirichlet), "nodes": "123", "h": 1, "omega": [1]}, "nodes"),
+        "nodes letters": ({**interval_doc(dirichlet), "nodes": "abc"}, "nodes"),
+        "edges string": ({**graph, "edges": "x"}, "edges"),
+        "edge number": ({**graph, "edges": [[0, 1, 1.0], 5]}, "edges"),
+        "graph nodes string": ({**graph, "nodes": "0123"}, "nodes"),
+    }
+    return [
+        pytest.param(command, data, field, id=f"{command}: {name}")
+        for name, (data, field) in cases.items()
+        for command in ("solve", "diagnose")
+    ]
+
+
+@pytest.mark.parametrize("command, data, field", wrong_type_cases())
+def test_document_fields_of_the_wrong_type_exit_1_naming_the_field(
+    tmp_path, capsys, command, data, field
+):
+    """The document and its problem block must be objects, a load an object
+    only as {"table": path}, and omega, nodes, edges and each edge lists:
+    anything else exits 1 with one error line naming the field, where it used
+    to crash with a traceback, be misread (omega "123" as the ids 1, 2, 3) or
+    fail with a message that named no field."""
+    assert cli.main([command, write_doc(tmp_path, "doc.json", data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_integral_document_numbers_still_load():
     data = {**interval_doc(), "dimension": 1.0, "omega": [1.0, 2, np.int64(3)], "h": 1}
     doc = load_document({**data, "nodes": [[0.0], [1.0], [2.0], [3.0], [4.0]]})

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from nlbvp.errors import EigensolverFailure, NoConvergence
@@ -94,82 +97,95 @@ def test_smallest_eigenpairs_refuse_an_asymmetric_pencil(rng):
     a = random_spd(20, rng).tolil()
     a[3, 7] = a[3, 7] * (1.0 + 2.0**-52)  # one ulp off its transpose
     with pytest.raises(EigensolverFailure, match="size-20 pencil is not exactly symmetric"):
-        smallest_eigenpairs(a.tocsr(), np.ones(20), count=1)
+        smallest_eigenpairs(a.tocsr(), np.ones(20))
 
 
-def test_smallest_eigenpairs_match_dense(rng):
-    a = random_spd(20, rng)
-    masses = rng.uniform(0.5, 2.0, size=20)
-    vals, vecs = smallest_eigenpairs(a, masses, count=3)
+@st.composite
+def deflated_pencils(draw):
+    """A weighted graph Laplacian in 1-4 connected components of 1-6 nodes
+    (a path plus random edges), random masses, and the labels of the
+    components it deflates.  Each component left free also carries a
+    positive diagonal, so the smallest eigenvalue on the complement of the
+    deflated ones is positive; free = n - (deflated components) runs from 0
+    (deflated single nodes only) up, on both sides of the dense path's
+    free <= 2."""
+    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(1, 6)), min_size=1, max_size=4))
+    deflated = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    reals = st.floats(0.1, 1.0)
+    blocks = []
+    for size, deflate in zip(sizes, deflated):
+        weights = np.triu(draw(arrays(float, (size, size), elements=reals)), 1)
+        extra = np.triu(draw(arrays(bool, (size, size))), 2)
+        weights *= extra + np.eye(size, k=1)  # the path keeps the component connected
+        weights += weights.T
+        diagonal = 0.0 if deflate else draw(arrays(float, size, elements=reals))
+        blocks.append(np.diag(weights.sum(axis=1) + diagonal) - weights)
+    masses = draw(arrays(float, sum(sizes), elements=st.floats(0.25, 4.0)))
+    ids = np.repeat(np.arange(len(sizes)), sizes)
+    labels = np.where(np.repeat(deflated, sizes), ids, -1)
+    return sp.csr_matrix(scipy.linalg.block_diag(*blocks)), masses, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(deflated_pencils())
+def test_smallest_eigenpairs_match_dense(pencil):
+    """On the D-orthogonal complement of the deflated components the value
+    is dense eigh's eigenvalue above their k zeros, within 1e-8 relative;
+    the vector is D-normalized and D-orthogonal to every deflated component.
+    With every node deflated the value is inf, the vector zero and nothing
+    is factored; the dense path (free <= 2) factors nothing either."""
+    a, masses, labels = pencil
+    value, vector, inverse, order = smallest_eigenpairs(a, masses, deflate=labels)
+    deflated = np.unique(labels[labels >= 0])
+    free = a.shape[0] - deflated.size
+    if free == 0:
+        assert value == np.inf and not vector.any() and inverse is None and order is None
+        return
     dense = scipy.linalg.eigh(a.toarray(), np.diag(masses), eigvals_only=True)
-    assert_allclose(vals, dense[:3], rtol=1e-8)
-    # vectors are mass-orthonormal
-    gram = vecs.T @ (masses[:, None] * vecs)
-    assert_allclose(gram, np.eye(3), atol=1e-8)
-
-
-def test_smallest_eigenpairs_with_deflation(rng):
-    """Deflating the component labels of a Laplacian in 2-3 pieces, with random
-    weights and masses, leaves the eigenvalues above its kernel, as dense eigh
-    finds them: on the Lanczos path (5-6 nodes a piece) and on the dense one
-    (pieces of 1-2 nodes, one free dimension)."""
-    for sizes, count in (((5, 6), 2), ((4, 6, 5), 2), ((1, 2, 1), 1)):
-        blocks = []
-        for size in sizes:
-            weights = np.triu(rng.uniform(0.1, 1.0, (size, size)), 1)
-            weights += weights.T
-            blocks.append(np.diag(weights.sum(axis=1)) - weights)
-        a = sp.csr_matrix(scipy.linalg.block_diag(*blocks))
-        masses = rng.uniform(0.5, 2.0, size=a.shape[0])
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        vals, vecs = smallest_eigenpairs(a, masses, count=count, deflate=labels)
-        dense = scipy.linalg.eigh(a.toarray(), np.diag(masses), eigvals_only=True)
-        assert vals == pytest.approx(dense[len(sizes) : len(sizes) + count], rel=1e-8)
-        sums = np.array([np.bincount(labels, masses * v) for v in vecs.T])
-        assert_allclose(sums, 0.0, atol=1e-12)
+    assert value == pytest.approx(dense[deflated.size], rel=1e-8, abs=0.0)
+    assert vector @ (masses * vector) == pytest.approx(1.0, rel=1e-10, abs=0.0)
+    assert_allclose(np.bincount(labels + 1, masses * vector)[deflated + 1], 0.0, atol=1e-12)
+    assert (inverse is None) == (order is None) == (free <= 2)
 
 
 def test_smallest_eigenpairs_singular_matrix():
-    # path Laplacian: eigenvalue 0 with constant eigenvector
+    # path Laplacian: eigenvalue 0 with constant eigenvector; deflating the
+    # constants leaves the next eigenvalue, 1, on the dense path (free = 2)
     lap = sp.csr_matrix(
         np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     )
-    vals, vecs = smallest_eigenpairs(lap, np.ones(3), count=2)
-    assert abs(vals[0]) <= 1e-12
-    assert vals[1] == pytest.approx(1.0, rel=1e-9)
-    spread = vecs[:, 0].max() - vecs[:, 0].min()
-    assert spread <= 1e-9
+    value, vector, _, _ = smallest_eigenpairs(lap, np.ones(3))
+    assert abs(value) <= 1e-12
+    assert vector.max() - vector.min() <= 1e-9
+    value, vector, inverse, _ = smallest_eigenpairs(lap, np.ones(3), deflate=np.zeros(3, dtype=int))
+    assert value == pytest.approx(1.0, rel=1e-9)
+    assert abs(vector.sum()) <= 1e-12 and inverse is None
 
 
 def test_smallest_eigenpairs_zero_matrix():
     zero = sp.csr_matrix((4, 4))
-    vals, vecs = smallest_eigenpairs(zero, np.ones(4), count=4)
-    assert_allclose(vals, np.zeros(4), atol=1e-300)
-    gram = vecs.T @ vecs
-    assert_allclose(gram, np.eye(4), atol=1e-10)
+    value, vector, _, _ = smallest_eigenpairs(zero, np.ones(4))
+    assert value == 0.0
+    assert vector @ vector == pytest.approx(1.0, rel=1e-10)
 
 
 def test_smallest_eigenpairs_take_and_return_an_elimination_order(rng):
-    """A sparse pencil factored in a given order gives the eigenpairs and the
-    shifted solve of its own MMD order, and returns the order it used; the
-    default call returns the eigenpairs alone."""
+    """A sparse pencil factored in a given order gives the eigenpair and the
+    shifted solve of its own MMD order, and returns the order it used."""
     weights = sp.random(60, 60, density=0.08, random_state=rng.integers(2**32))
     weights = sp.triu(weights, 1)
     weights = weights + weights.T
     a = sp.csr_matrix(sp.diags(np.asarray(weights.sum(axis=1)).ravel() + 0.1) - weights)
     masses = rng.uniform(0.5, 2.0, size=60)
-    assert len(smallest_eigenpairs(a, masses, count=2)) == 2
-    vals, _, inverse, own = smallest_eigenpairs(a, masses, count=2, return_inverse=True)
+    value, _, inverse, own = smallest_eigenpairs(a, masses)
     assert np.array_equal(np.sort(own), np.arange(60))
     r = rng.standard_normal(60)
     solved = inverse(r)
     for order in (own, own[::-1], rng.permutation(60)):
-        given_vals, _, given_inverse, used = smallest_eigenpairs(
-            a, masses, count=2, return_inverse=True, order=order
-        )
+        given_value, _, given_inverse, used = smallest_eigenpairs(a, masses, order=order)
         assert used is order
-        assert_allclose(given_vals, vals, rtol=1e-13)
+        assert given_value == pytest.approx(value, rel=1e-13, abs=0.0)
         assert_allclose(given_inverse(r), solved, rtol=1e-10, atol=1e-12 * np.abs(solved).max())
     # the dense path factors nothing and uses no order
-    _, _, inverse, order = smallest_eigenpairs(a[:3, :3], masses[:3], count=2, return_inverse=True)
+    _, _, inverse, order = smallest_eigenpairs(a[:2, :2], masses[:2])
     assert inverse is None and order is None
