@@ -17,9 +17,7 @@ Two workhorses live here:
   hands in, and is handed back with that order as the solve of the shifted
   pencil A + s D, a preconditioner for A.
 
-Everything is deterministic: fixed start vectors, and ARPACK's restarts
-(drawn when the Krylov space becomes invariant, as it does on a multiple
-eigenvalue) come from a generator seeded on every call.
+Everything is deterministic: fixed start vectors, no randomized restarts.
 """
 
 from __future__ import annotations
@@ -177,14 +175,7 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
     (Kato-Temple): below rounding unless that gap is under 1e-4.  ARPACK
     needs free > 2; with free <= 2 a dense `eigh` answers on the free nodes
     and those of deflated components of 2+ nodes.  Either way the eigenvalue
-    is the Rayleigh quotient v^T A v / v^T D v of its vector, v^T A v summed
-    as sum_i r_i v_i^2 + sum_{i<j} -a_ij (v_i - v_j)^2 with r the row sums
-    of A.  On the package's pencils (a_ij <= 0 off the diagonal, r >= 0)
-    every term is nonnegative, so the sum keeps about full precision; the
-    plain sum of v_i (A v)_i loses about eps |v|^T |A| |v|, which is not
-    small against v^T A v when lambda is far below ||D^{-1} A||, and so
-    depends on the last bits of v (two elimination orders gave values
-    1.2e-14 apart on a six-node graph with a 2^-8 link).
+    is the Rayleigh quotient v^T A v / v^T D v of its vector.
 
     Returns
     -------
@@ -245,8 +236,7 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
         start = project(np.random.default_rng(0).standard_normal(n))
         try:
             vector = spla.eigsh(
-                b, k=1, sigma=-shift, OPinv=inverse, v0=start, ncv=min(free, 6), tol=EIGEN_TOL,
-                rng=0,  # unseeded, a restart would draw from the operating system's entropy
+                b, k=1, sigma=-shift, OPinv=inverse, v0=start, ncv=min(free, 6), tol=EIGEN_TOL
             )[1].ravel()
         except spla.ArpackError as exc:
             raise EigensolverFailure(
@@ -257,12 +247,6 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
             return scale * solve(scale * r)
 
     vector = vector * scale
-    # the Rayleigh quotient, free of the back-transform's error, with v^T A v
-    # as sum_i r_i v_i^2 + sum_{i<j} -a_ij (v_i - v_j)^2, r the row sums of A
-    upper = row < col
-    energy = np.sum(np.bincount(row, matrix.data, n) * vector**2) + np.sum(
-        -matrix.data[upper] * (vector[row[upper]] - vector[col[upper]]) ** 2
-    )
-    value = energy / np.sum(vector**2 * masses)
+    # the Rayleigh quotient, free of the back-transform's error
+    value = np.sum(vector * (matrix @ vector)) / np.sum(vector**2 * masses)
     return value, vector, shifted_inverse, order
-
