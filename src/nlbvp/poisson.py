@@ -3,10 +3,14 @@
 The (2d+1)-point difference operator on a step-h lattice is a nonlocal
 operator with an atomic kernel, and its classical Dirichlet/Neumann systems
 are exactly the weak problems of this package under the counting measure on
-the lattice.  This module builds those grids, constructs the stiffness
-matrices directly from the adjacency rules (an independent route against
-which the kernel-based assembly is checked), runs convergence studies, and
-carries the discrete maximum principle toolkit plus a weighted-graph demo.
+the lattice.  This module builds those grids, whose stencil kernel comes
+straight from the lattice's integer indices (stencil documents, whose nodes
+carry no indices, go through `measure.stencil_kernel`, which resolves the
+neighbours from the coordinates).  It constructs the stiffness matrices
+from the literal adjacency rules in `build_stiffness`, a separate route
+that shares nothing with the kernel builder and against which the
+kernel-based assembly is checked, runs convergence studies, and carries
+the discrete maximum principle toolkit plus a weighted-graph demo.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ from scipy.sparse import csgraph
 
 from .assembly import assemble_form
 from .errors import BadStep, HypothesisViolated
-from .measure import (
-    AtomicMeasure,
-    _sample,
-    graph_kernel,
-    nonlocal_boundary,
-    stencil_kernel,
-)
+from .measure import AtomicMeasure, TransitionKernel, _sample, graph_kernel, nonlocal_boundary
 from .solvers import DirichletProblem, solve_dirichlet
 
 ZERO_ROWSUM_TOL = 1e-12
@@ -88,10 +86,34 @@ class NonnegativeTypeReport(NamedTuple):
     zero_row_sums: bool
 
 
+def _lattice_kernel(indices, n_axis, h):
+    """Stencil kernel of a lexicographic lattice, read off its integer indices.
+
+    The neighbour of node k along `axis` with step +/-1 is
+    k +/- (n_axis + 1)^(d - 1 - axis), present when that index stays in
+    0..n_axis; each carries the weight 1/h^2.  A row's columns ascend as
+    the backward steps from axis 0 to d - 1, then the forward steps from
+    axis d - 1 to 0, so the CSR arrays are written directly, sorted.
+    """
+    n, d = indices.shape
+    strides = (n_axis + 1) ** np.arange(d - 1, -1, -1)
+    axes = np.r_[np.arange(d), np.arange(d)[::-1]]
+    steps = np.repeat([-1, 1], d)
+    target = indices[:, axes] + steps
+    present = (target >= 0) & (target <= n_axis)
+    columns = np.arange(n)[:, None] + steps * strides[axes]
+    indptr = np.r_[0, np.cumsum(np.count_nonzero(present, axis=1))]
+    data = np.full(indptr[-1], 1.0 / (h * h))
+    return TransitionKernel(sp.csr_matrix((data, columns[present], indptr), shape=(n, n)))
+
+
 def unit_cube_grid(d, h):
     """Build the lattice grid, its stencil kernel, and the node partition.
 
-    Requires 1/h to be an integer >= 2 and d in {1, 2, 3}.
+    Requires 1/h to be an integer >= 2 and d in {1, 2, 3}.  The kernel is
+    built from the lattice's integer indices, with no geometric search:
+    it is the kernel `stencil_kernel` resolves from the coordinates, which
+    stays the route for stencil documents, whose nodes carry no indices.
     """
     if d not in (1, 2, 3):
         raise BadStep(f"dimension {d} not supported; use 1, 2, or 3")
@@ -101,7 +123,7 @@ def unit_cube_grid(d, h):
     indices = np.indices((n_axis + 1,) * d).reshape(d, -1).T  # lexicographic
     measure = AtomicMeasure(indices * h, lookup_tol=h * 1e-9)
     on_face = (indices == 0) | (indices == n_axis)
-    kernel = stencil_kernel(d, h, measure)
+    kernel = _lattice_kernel(indices, n_axis, h)
     domain = nonlocal_boundary(kernel, np.flatnonzero(~on_face.any(axis=1)), measure)
     if not np.array_equal(domain.gamma, np.flatnonzero(on_face.sum(axis=1) == 1)):
         raise AssertionError("kernel-derived boundary differs from the facet set")

@@ -29,6 +29,7 @@ from nlbvp import (
 from nlbvp import cli
 from nlbvp.errors import BadStep, HypothesisViolated
 from nlbvp.fileio import fmt
+from nlbvp.measure import stencil_kernel
 from nlbvp.poisson import manufactured_solve
 
 from conftest import interval_setup, square_setup
@@ -59,6 +60,17 @@ def test_grid_points_are_lexicographic(d):
     grid = unit_cube_grid(d, 1.0 / 3.0)
     indices = np.array(list(itertools.product(range(4), repeat=d)))
     assert np.array_equal(grid.measure.points, indices * (1.0 / 3.0))
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in (1, 2, 3) for k in (*range(2, 13), 16)])
+def test_grid_kernel_is_the_stencil_kernel(d, k):
+    """The kernel the grid reads off its lattice indices is the one
+    `stencil_kernel` resolves from its coordinates, to the bit: a wrong
+    stride, or a neighbour that wraps past the end of a row, shows here."""
+    grid = unit_cube_grid(d, 1.0 / k)
+    expected = stencil_kernel(d, 1.0 / k, grid.measure).matrix
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(grid.kernel.matrix, name), getattr(expected, name)), name
 
 
 def test_grid_rejects_bad_steps():
