@@ -258,11 +258,11 @@ def _parse_nodes(data, dimension):
         table = np.empty((0, 0))
     if table.ndim != 2 or not len(table) or table.shape[1] not in (dimension, dimension + 1):
         rows = []  # entry by entry: pads ragged lists with unit masses, names a bad entry
-        for entry in raw:
+        for index, entry in enumerate(raw):
             entry = list(entry) if isinstance(entry, (list, tuple)) else [entry]
             if len(entry) not in (dimension, dimension + 1):
                 raise DocumentError(f"node entry {entry} does not match dimension {dimension}")
-            rows.append(entry + [1.0] * (dimension + 1 - len(entry)))
+            rows.append(_numbers(entry, f"nodes entry {index}") + [1.0] * (dimension + 1 - len(entry)))
         if not rows:
             raise DocumentError("document contains no nodes")
         table = np.array(rows, dtype=float)
@@ -285,6 +285,18 @@ def positive_finite(value, name):
     return float(value)
 
 
+def _numbers(values, name):
+    """The entries of the list `values` as floats; a DocumentError naming
+    `name` and its first entry that is not a number."""
+    floats = []
+    for index, value in enumerate(values):
+        try:
+            floats.append(float(value))
+        except (TypeError, ValueError, OverflowError):
+            raise DocumentError(f"{name}: {value!r} at index {index} is not a number") from None
+    return floats
+
+
 def _node_values(raw, points, count, name):
     if raw is None:
         return np.zeros(count)
@@ -299,7 +311,7 @@ def _node_values(raw, points, count, name):
                 f"table for {name!r} holds {values.shape[0]} boundary values, expected {count}"
             )
     else:
-        values = np.asarray(raw, dtype=float)
+        values = np.asarray(_numbers(raw, name) if isinstance(raw, (list, tuple)) else raw, dtype=float)
         if values.shape != (count,):
             raise DocumentError(f"{name!r} must provide {count} values, got {values.shape}")
     bad = np.flatnonzero(~np.isfinite(values))

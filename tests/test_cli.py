@@ -176,6 +176,30 @@ def test_non_integer_ids_and_fields_exit_1_naming_the_field(tmp_path, capsys, da
     assert field in err and entry in err
 
 
+def non_number_cases():
+    dirichlet = {"kind": "dirichlet", "f": "1", "g": "0"}
+    regularized = {"kind": "regularized", "f": "1", "g": "0", "c": "1"}
+    nodes = interval_doc(dirichlet)["nodes"]
+    cases = {
+        "nodes entry": ({**interval_doc(dirichlet), "nodes": ["abc", *nodes[1:]]}, "nodes entry 0: 'abc'"),
+        "nodes coordinate": ({**interval_doc(dirichlet), "nodes": [["abc"], *nodes[1:]]}, "nodes entry 0: 'abc'"),
+        "f list": (interval_doc({**dirichlet, "f": ["a", "b", "c"]}), "f: 'a'"),
+        "c list": (interval_doc({**regularized, "c": ["x", 1, 1]}), "c: 'x'"),
+    }
+    return [pytest.param(data, message, id=name) for name, (data, message) in cases.items()]
+
+
+@pytest.mark.parametrize("data, message", non_number_cases())
+def test_non_numbers_exit_1_naming_the_field(tmp_path, capsys, data, message):
+    """A node or load list holding a non-number exits 1 with one error line
+    naming the field and its first bad entry, where numpy's conversion
+    message named neither."""
+    assert cli.main(["solve", write_doc(tmp_path, "doc.json", data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{message} at index 0 is not a number" in err
+
+
 def wrong_type_cases():
     dirichlet = {"kind": "dirichlet", "f": "1", "g": "0"}
     regularized = {"kind": "regularized", "f": "1", "g": "0", "c": "1"}
