@@ -1,6 +1,7 @@
 """Deterministic CG and inverse-iteration building blocks."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,30 @@ def test_smallest_eigenpairs_with_deflation(rng):
         dense = scipy.linalg.eigh(a.toarray(), np.diag(masses), eigvals_only=True)
         assert value == pytest.approx(dense[len(sizes)], rel=1e-8)
         assert_allclose(np.bincount(labels, masses * vector), 0.0, atol=1e-12)
+
+
+def test_smallest_eigenpairs_agree_across_elimination_orders():
+    """A Laplacian with one weak link has its smallest eigenvalue far below
+    ||D^{-1} A||, where a plain sum of v^T A v loses digits: the values from
+    the pencil's own order and from the reversed one agree within 1e-15
+    relative, and with the exact Rayleigh quotient of either vector."""
+    weights = {(0, 3): 1.0, (0, 2): 2.0**-8, (2, 4): 0.6875, (2, 5): 0.5}
+    a = sp.lil_matrix((6, 6))
+    for (i, j), w in weights.items():
+        a[i, j] = a[j, i] = -w
+        a[i, i] += w
+        a[j, j] += w
+    a = a.tocsr()
+    masses = np.array([1.5, 1.0, 1.0, 1.0, 0.5, 1.0])
+    labels = np.array([0, 1, 0, 0, 0, 0])
+    own = smallest_eigenpairs(a, masses, deflate=labels)
+    reversed_ = smallest_eigenpairs(a, masses, deflate=labels, order=own[3][::-1])
+    for value, vector, _, _ in (own, reversed_):
+        exact = [Fraction(x) for x in vector]
+        energy = sum(exact[i] * Fraction(a[i, j]) * exact[j] for i, j in zip(*a.nonzero()))
+        norm = sum(x * x * Fraction(m) for x, m in zip(exact, masses))
+        assert value == pytest.approx(float(energy / norm), rel=1e-15, abs=0.0)
+    assert reversed_[0] == pytest.approx(own[0], rel=1e-15, abs=0.0)
 
 
 def test_smallest_eigenpairs_singular_matrix():
