@@ -254,8 +254,8 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
             return scale * solve(scale * r)
 
     vector = vector * scale
-    # the Rayleigh quotient, free of the back-transform's error, with v^T A v
-    # as sum_i r_i v_i^2 + sum_{i<j} -a_ij (v_i - v_j)^2, r the row sums of A
+    # the Rayleigh quotient, free of the back-transform's error and, with its
+    # numerator a sum of nonnegative terms, of cancellation
     upper = row < col
     energy = np.sum(np.bincount(row, matrix.data, n) * vector**2) + np.sum(
         -matrix.data[upper] * (vector[row[upper]] - vector[col[upper]]) ** 2

@@ -114,6 +114,8 @@ def unit_cube_grid(d, h):
     built from the lattice's integer indices, with no geometric search:
     it is the kernel `stencil_kernel` resolves from the coordinates, which
     stays the route for stencil documents, whose nodes carry no indices.
+    `build_stiffness` remains the separate oracle the assembled form is
+    checked against; it shares no code with this builder.
     """
     if d not in (1, 2, 3):
         raise BadStep(f"dimension {d} not supported; use 1, 2, or 3")
