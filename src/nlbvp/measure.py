@@ -347,12 +347,40 @@ def nonlocal_boundary(kernel, omega, measure):
     )
 
 
-def stencil_kernel(d, h, measure):
+def _box_lattice_stencil(d, h, n_axis, n_nodes):
+    """Stencil kernel of the box lattice h {0, ..., n_axis}^d, nodes in
+    lexicographic order.
+
+    Node k's index along axis a is k // s % (n_axis + 1), with the stride
+    s = (n_axis + 1)^(d - 1 - a); each lattice edge joins a node whose index
+    is below n_axis to the node one stride further.
+    """
+    if n_nodes != (n_axis + 1) ** d:
+        raise ValueError(f"measure has {n_nodes} nodes, not the (n_axis + 1)^d = {(n_axis + 1) ** d}")
+    node = np.arange(n_nodes)
+    rows, cols = [], []
+    for axis in range(d):
+        stride = (n_axis + 1) ** (d - 1 - axis)
+        tail = node[node // stride % (n_axis + 1) < n_axis]
+        rows += [tail, tail + stride]
+        cols += [tail + stride, tail]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(n_nodes,) * 2)
+    return TransitionKernel(matrix)
+
+
+def stencil_kernel(d, h, measure, n_axis=None):
     """Kernel of the (2d+1)-point difference operator on a step-h lattice.
 
     Every node gets the atoms (x + h e_i, 1/h^2) and (x - h e_i, 1/h^2) for
-    each axis whose target resolves to a node of the measure (the nearest
-    within h * 1e-9); missing targets are omitted.  A target that resolves
+    each axis whose target is a node of the measure; missing targets are
+    omitted.
+
+    Pass `n_axis` when the measure lists the box lattice h {0, ..., n_axis}^d
+    in lexicographic order, as `poisson.unit_cube_grid` builds it: the
+    neighbours are then read off the node ids, with no search.  Otherwise,
+    as for stencil documents, whose nodes carry no indices, each target
+    resolves to the nearest node within h * 1e-9.  A target that resolves
     to no node but has some node strictly within h/2 signals a lattice that
     is not commensurate with h.  Both scans run over the node pairs within
     1.5 h, which contain every node that close to a target, in one pass: a
@@ -366,6 +394,8 @@ def stencil_kernel(d, h, measure):
         raise ValueError(f"step h must be positive and finite, got {h}")
     if measure.dim != d:
         raise ValueError(f"measure has dimension {measure.dim}, expected {d}")
+    if n_axis is not None:
+        return _box_lattice_stencil(d, h, n_axis, len(measure))
     tol = h * 1e-9
     band = 0.5 * h * (1.0 - 1e-9)  # open band: a node at exactly h/2 is a legitimate finer lattice
     pts = measure.points

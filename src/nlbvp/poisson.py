@@ -3,14 +3,15 @@
 The (2d+1)-point difference operator on a step-h lattice is a nonlocal
 operator with an atomic kernel, and its classical Dirichlet/Neumann systems
 are exactly the weak problems of this package under the counting measure on
-the lattice.  This module builds those grids, whose stencil kernel comes
-straight from the lattice's integer indices (stencil documents, whose nodes
-carry no indices, go through `measure.stencil_kernel`, which resolves the
-neighbours from the coordinates).  It constructs the stiffness matrices
-from the literal adjacency rules in `build_stiffness`, a separate route
-that shares nothing with the kernel builder and against which the
-kernel-based assembly is checked, runs convergence studies, and carries
-the discrete maximum principle toolkit plus a weighted-graph demo.
+the lattice.  This module builds those grids, whose stencil kernel
+`measure.stencil_kernel` reads off the lexicographic node ids, with no
+geometric search (stencil documents, whose nodes carry no indices, take its
+search path, which resolves the neighbours from the coordinates).  It
+constructs the stiffness matrices from the literal adjacency rules in
+`build_stiffness`, a separate route that shares nothing with either kernel
+path and against which the kernel-based assembly is checked, runs
+convergence studies, and carries the discrete maximum principle toolkit
+plus a weighted-graph demo.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from scipy.sparse import csgraph
 
 from .assembly import assemble_form
 from .errors import BadStep, HypothesisViolated
-from .measure import AtomicMeasure, TransitionKernel, _sample, graph_kernel, nonlocal_boundary
+from .measure import (
+    AtomicMeasure,
+    _sample,
+    graph_kernel,
+    nonlocal_boundary,
+    stencil_kernel,
+)
 from .solvers import DirichletProblem, solve_dirichlet
 
 ZERO_ROWSUM_TOL = 1e-12
@@ -86,36 +93,15 @@ class NonnegativeTypeReport(NamedTuple):
     zero_row_sums: bool
 
 
-def _lattice_kernel(indices, n_axis, h):
-    """Stencil kernel of a lexicographic lattice, read off its integer indices.
-
-    The neighbour of node k along `axis` with step +/-1 is
-    k +/- (n_axis + 1)^(d - 1 - axis), present when that index stays in
-    0..n_axis; each carries the weight 1/h^2.  A row's columns ascend as
-    the backward steps from axis 0 to d - 1, then the forward steps from
-    axis d - 1 to 0, so the CSR arrays are written directly, sorted.
-    """
-    n, d = indices.shape
-    strides = (n_axis + 1) ** np.arange(d - 1, -1, -1)
-    axes = np.r_[np.arange(d), np.arange(d)[::-1]]
-    steps = np.repeat([-1, 1], d)
-    target = indices[:, axes] + steps
-    present = (target >= 0) & (target <= n_axis)
-    columns = np.arange(n)[:, None] + steps * strides[axes]
-    indptr = np.r_[0, np.cumsum(np.count_nonzero(present, axis=1))]
-    data = np.full(indptr[-1], 1.0 / (h * h))
-    return TransitionKernel(sp.csr_matrix((data, columns[present], indptr), shape=(n, n)))
-
-
 def unit_cube_grid(d, h):
     """Build the lattice grid, its stencil kernel, and the node partition.
 
-    Requires 1/h to be an integer >= 2 and d in {1, 2, 3}.  The kernel is
-    built from the lattice's integer indices, with no geometric search:
-    it is the kernel `stencil_kernel` resolves from the coordinates, which
-    stays the route for stencil documents, whose nodes carry no indices.
-    `build_stiffness` remains the separate oracle the assembled form is
-    checked against; it shares no code with this builder.
+    Requires 1/h to be an integer >= 2 and d in {1, 2, 3}.  The kernel
+    comes from `stencil_kernel`'s lattice path, which reads the neighbours
+    off the lexicographic node ids with no geometric search; it is the
+    kernel the search path, the route for stencil documents, resolves from
+    the coordinates.  `build_stiffness` remains the separate oracle the
+    assembled form is checked against; it shares no code with either path.
     """
     if d not in (1, 2, 3):
         raise BadStep(f"dimension {d} not supported; use 1, 2, or 3")
@@ -125,7 +111,7 @@ def unit_cube_grid(d, h):
     indices = np.indices((n_axis + 1,) * d).reshape(d, -1).T  # lexicographic
     measure = AtomicMeasure(indices * h, lookup_tol=h * 1e-9)
     on_face = (indices == 0) | (indices == n_axis)
-    kernel = _lattice_kernel(indices, n_axis, h)
+    kernel = stencil_kernel(d, h, measure, n_axis=n_axis)
     domain = nonlocal_boundary(kernel, np.flatnonzero(~on_face.any(axis=1)), measure)
     if not np.array_equal(domain.gamma, np.flatnonzero(on_face.sum(axis=1) == 1)):
         raise AssertionError("kernel-derived boundary differs from the facet set")

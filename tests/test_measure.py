@@ -135,6 +135,11 @@ def test_stencil_2d_center():
     assert all(w == 4.0 for _, w in entries)
 
 
+def test_stencil_lattice_path_refuses_a_measure_of_another_size():
+    with pytest.raises(ValueError, match="not the"):
+        stencil_kernel(1, 0.25, interval_measure(0.25), n_axis=3)
+
+
 def test_stencil_noncommensurate_grid():
     measure = AtomicMeasure([[0.0], [0.3], [0.6]])
     with pytest.raises(NonCommensurateGrid):

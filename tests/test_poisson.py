@@ -64,9 +64,10 @@ def test_grid_points_are_lexicographic(d):
 
 @pytest.mark.parametrize("d, k", [(d, k) for d in (1, 2, 3) for k in (*range(2, 13), 16)])
 def test_grid_kernel_is_the_stencil_kernel(d, k):
-    """The kernel the grid reads off its lattice indices is the one
-    `stencil_kernel` resolves from its coordinates, to the bit: a wrong
-    stride, or a neighbour that wraps past the end of a row, shows here."""
+    """The kernel the grid reads off its lattice node ids is the one
+    `stencil_kernel`'s search path resolves from its coordinates, to the
+    bit: a wrong stride, or a neighbour that wraps past the end of a row,
+    shows here."""
     grid = unit_cube_grid(d, 1.0 / k)
     expected = stencil_kernel(d, 1.0 / k, grid.measure).matrix
     for name in ("indptr", "indices", "data"):
