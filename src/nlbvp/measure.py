@@ -207,7 +207,7 @@ class AtomicMeasure:
 
 def _node_ids(ids):
     """Node ids (any iterable) as an int64 array; a non-integer id is a ValueError."""
-    values = np.fromiter(ids, dtype=float)
+    values = ids.astype(float) if isinstance(ids, np.ndarray) else np.fromiter(ids, dtype=float)
     if np.any(values % 1):
         raise ValueError(f"node id {values[values % 1 != 0][0]} is not an integer")
     return values.astype(np.int64)
@@ -347,62 +347,55 @@ def nonlocal_boundary(kernel, omega, measure):
     )
 
 
-def _box_lattice_stencil(d, h, n_axis, n_nodes):
-    """Stencil kernel of the box lattice h {0, ..., n_axis}^d, nodes in
-    lexicographic order.
+def _lattice_join(h, points):
+    """Stencil atoms (rows, cols) joined by the keys k = rint(x / h), or None
+    unless every node sits on its own point of h Z^d: 1e-150 <= h <= 1e150,
+    |k| <= 2^16, each coordinate within 1e-11 h of k h, and no key shared.
+    Node k is joined both ways to node k + e_a, which follows it in the
+    lexicographic order whose least significant key is axis a; no distance
+    is taken, and memory is linear in the node count.
 
-    Node k's index along axis a is k // s % (n_axis + 1), with the stride
-    s = (n_axis + 1)^(d - 1 - a); each lattice edge joins a node whose index
-    is below n_axis to the node one stride further.
+    These are `_stencil_search`'s atoms, so the CSR arrays agree bit for bit:
+    with the rounding of k h (under 2^-53 |k| h < 7.3e-12 h) each node lies
+    within 1.8e-11 h of its lattice point per axis, and for such h the
+    search's squares neither over- nor underflow, so it puts node k + s e_a
+    within 3.7e-11 sqrt(d) h < h 1e-9 of the target x + s h e_a (for any d
+    whose 3^d cell offsets it can enumerate) and every other node nearly h
+    away, beyond h/2: one hit per target, no tie and no stray.
     """
-    if n_nodes != (n_axis + 1) ** d:
-        raise ValueError(f"measure has {n_nodes} nodes, not the (n_axis + 1)^d = {(n_axis + 1) ** d}")
-    node = np.arange(n_nodes)
-    rows, cols = [], []
-    for axis in range(d):
-        stride = (n_axis + 1) ** (d - 1 - axis)
-        tail = node[node // stride % (n_axis + 1) < n_axis]
-        rows += [tail, tail + stride]
-        cols += [tail + stride, tail]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(n_nodes,) * 2)
-    return TransitionKernel(matrix)
+    keys = np.rint(points / h)
+    offset = np.abs(points - keys * h).max()
+    if not (1e-150 <= h <= 1e150 and np.abs(keys).max() <= 2**16 and offset <= 1e-11 * h):
+        return None
+    atoms = []
+    for axis, unit in enumerate(np.eye(points.shape[1])):
+        order = np.lexsort(np.roll(keys.T, -axis, axis=0))
+        step = np.diff(keys[order], axis=0)
+        if not step.any(axis=1).all():
+            return None  # two nodes share a key
+        tail = np.flatnonzero((step == unit).all(axis=1))
+        atoms += [order[np.stack([tail, tail + 1])], order[np.stack([tail + 1, tail])]]
+    return tuple(np.hstack(atoms))
 
 
-def stencil_kernel(d, h, measure, n_axis=None):
-    """Kernel of the (2d+1)-point difference operator on a step-h lattice.
-
-    Every node gets the atoms (x + h e_i, 1/h^2) and (x - h e_i, 1/h^2) for
-    each axis whose target is a node of the measure; missing targets are
-    omitted.
-
-    Pass `n_axis` when the measure lists the box lattice h {0, ..., n_axis}^d
-    in lexicographic order, as `poisson.unit_cube_grid` builds it: the
-    neighbours are then read off the node ids, with no search.  Otherwise,
-    as for stencil documents, whose nodes carry no indices, each target
-    resolves to the nearest node within h * 1e-9.  A target that resolves
-    to no node but has some node strictly within h/2 signals a lattice that
-    is not commensurate with h.  Both scans run over the node pairs within
-    1.5 h, which contain every node that close to a target, in one pass: a
-    node within h/2 of a target x +/- h e_i is offset from x the most along
-    axis i, on that side, so each pair is measured against one target only.
-    When several nodes tie for the nearest, the lowest id wins; the first
-    unresolved target in (node, axis, sign) order is reported with its
+def _stencil_search(d, h, points):
+    """Stencil atoms (rows, cols) of any node set, from the coordinates: each
+    target resolves to the nearest node within h * 1e-9, and a target that
+    resolves to no node but has some node strictly within h/2 signals a
+    lattice not commensurate with h.  Both scans run over the node pairs
+    within 1.5 h, which contain every node that close to a target, in one
+    pass: a node within h/2 of a target x +/- h e_i is offset from x the most
+    along axis i, on that side, so each pair is measured against one target
+    only.  When several nodes tie for the nearest, the lowest id wins; the
+    first unresolved target in (node, axis, sign) order is reported with its
     nearest stray, the lowest id on ties.
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    if measure.dim != d:
-        raise ValueError(f"measure has dimension {measure.dim}, expected {d}")
-    if n_axis is not None:
-        return _box_lattice_stencil(d, h, n_axis, len(measure))
     tol = h * 1e-9
     band = 0.5 * h * (1.0 - 1e-9)  # open band: a node at exactly h/2 is a legitimate finer lattice
-    pts = measure.points
-    i, j = _close_pairs(pts, 1.5 * h)
+    i, j = _close_pairs(points, 1.5 * h)
     # a node within h/2 of the target x + sign h e_axis is offset from x the
     # most along that axis, with that sign: one distance per pair suffices
-    from_target = np.stack([c[j] - c[i] for c in pts.T])
+    from_target = np.stack([c[j] - c[i] for c in points.T])
     axis = np.abs(from_target).argmax(axis=0)
     pair = np.arange(i.size)
     toward = from_target[axis, pair]
@@ -418,7 +411,7 @@ def stencil_kernel(d, h, measure, n_axis=None):
     hits = np.flatnonzero(dist <= tol)
     hits = hits[np.lexsort((j[hits], dist[hits], target[hits]))]
     hits = hits[np.unique(target[hits], return_index=True)[1]]  # the nearest per target
-    resolved = np.zeros(2 * d * len(pts), dtype=bool)
+    resolved = np.zeros(2 * d * len(points), dtype=bool)
     resolved[target[hits]] = True
     strays = np.flatnonzero(~resolved[target])
     if strays.size:
@@ -427,8 +420,25 @@ def stencil_kernel(d, h, measure, n_axis=None):
             f"target of node {i[k]} along axis {axis[k]} lands between nodes "
             f"(nearest stray: node {j[k]})"
         )
-    rows, cols = i[hits], j[hits]
-    matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(pts),) * 2)
+    return i[hits], j[hits]
+
+
+def stencil_kernel(d, h, measure):
+    """Kernel of the (2d+1)-point difference operator on a step-h lattice.
+
+    Every node gets the atoms (x + h e_i, 1/h^2) and (x - h e_i, 1/h^2) for
+    each axis whose target is a node of the measure; missing targets are
+    omitted.  When every node sits on its own point of h Z^d, as on the
+    grids of `poisson.unit_cube_grid`, neighbours are joined by lattice key
+    (`_lattice_join`); any other measure (offset or mixed lattices, strays)
+    takes the coordinate search, whose kernel the join repeats to the bit.
+    """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    if measure.dim != d:
+        raise ValueError(f"measure has dimension {measure.dim}, expected {d}")
+    rows, cols = _lattice_join(h, measure.points) or _stencil_search(d, h, measure.points)
+    matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(measure),) * 2)
     return TransitionKernel(matrix)
 
 

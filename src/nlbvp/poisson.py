@@ -3,15 +3,13 @@
 The (2d+1)-point difference operator on a step-h lattice is a nonlocal
 operator with an atomic kernel, and its classical Dirichlet/Neumann systems
 are exactly the weak problems of this package under the counting measure on
-the lattice.  This module builds those grids, whose stencil kernel
-`measure.stencil_kernel` reads off the lexicographic node ids, with no
-geometric search (stencil documents, whose nodes carry no indices, take its
-search path, which resolves the neighbours from the coordinates).  It
-constructs the stiffness matrices from the literal adjacency rules in
-`build_stiffness`, a separate route that shares nothing with either kernel
-path and against which the kernel-based assembly is checked, runs
-convergence studies, and carries the discrete maximum principle toolkit
-plus a weighted-graph demo.
+the lattice.  This module builds those grids, whose nodes all sit on h Z^d,
+so `measure.stencil_kernel` joins their neighbours by lattice key with no
+geometric search.  It constructs the stiffness matrices from the literal
+adjacency rules in `build_stiffness`, a separate route that shares nothing
+with `stencil_kernel` and against which the kernel-based assembly is
+checked, runs convergence studies, and carries the discrete maximum
+principle toolkit plus a weighted-graph demo.
 """
 
 from __future__ import annotations
@@ -27,13 +25,7 @@ from scipy.sparse import csgraph
 
 from .assembly import assemble_form
 from .errors import BadStep, HypothesisViolated
-from .measure import (
-    AtomicMeasure,
-    _sample,
-    graph_kernel,
-    nonlocal_boundary,
-    stencil_kernel,
-)
+from .measure import AtomicMeasure, _sample, graph_kernel, nonlocal_boundary, stencil_kernel
 from .solvers import DirichletProblem, solve_dirichlet
 
 ZERO_ROWSUM_TOL = 1e-12
@@ -96,12 +88,10 @@ class NonnegativeTypeReport(NamedTuple):
 def unit_cube_grid(d, h):
     """Build the lattice grid, its stencil kernel, and the node partition.
 
-    Requires 1/h to be an integer >= 2 and d in {1, 2, 3}.  The kernel
-    comes from `stencil_kernel`'s lattice path, which reads the neighbours
-    off the lexicographic node ids with no geometric search; it is the
-    kernel the search path, the route for stencil documents, resolves from
-    the coordinates.  `build_stiffness` remains the separate oracle the
-    assembled form is checked against; it shares no code with either path.
+    Requires 1/h to be an integer >= 2 and d in {1, 2, 3}.  Every node sits
+    on h Z^d, so `stencil_kernel` joins the neighbours by lattice key.
+    `build_stiffness` remains the separate oracle the assembled form is
+    checked against; it shares no code with `stencil_kernel`.
     """
     if d not in (1, 2, 3):
         raise BadStep(f"dimension {d} not supported; use 1, 2, or 3")
@@ -111,7 +101,7 @@ def unit_cube_grid(d, h):
     indices = np.indices((n_axis + 1,) * d).reshape(d, -1).T  # lexicographic
     measure = AtomicMeasure(indices * h, lookup_tol=h * 1e-9)
     on_face = (indices == 0) | (indices == n_axis)
-    kernel = stencil_kernel(d, h, measure, n_axis=n_axis)
+    kernel = stencil_kernel(d, h, measure)
     domain = nonlocal_boundary(kernel, np.flatnonzero(~on_face.any(axis=1)), measure)
     if not np.array_equal(domain.gamma, np.flatnonzero(on_face.sum(axis=1) == 1)):
         raise AssertionError("kernel-derived boundary differs from the facet set")

@@ -28,7 +28,7 @@ from nlbvp.errors import (
     NonPositiveConductance,
 )
 from nlbvp.fileio import radial_density
-from nlbvp.measure import _close_pairs
+from nlbvp.measure import _close_pairs, _lattice_join, _node_ids
 
 from conftest import point_clouds, three_node_setup
 
@@ -135,11 +135,6 @@ def test_stencil_2d_center():
     assert all(w == 4.0 for _, w in entries)
 
 
-def test_stencil_lattice_path_refuses_a_measure_of_another_size():
-    with pytest.raises(ValueError, match="not the"):
-        stencil_kernel(1, 0.25, interval_measure(0.25), n_axis=3)
-
-
 def test_stencil_noncommensurate_grid():
     measure = AtomicMeasure([[0.0], [0.3], [0.6]])
     with pytest.raises(NonCommensurateGrid):
@@ -217,10 +212,14 @@ def stencil_loop(d, h, points):
 def stencil_lattices(draw):
     """A random subset of the step-1/k lattice nodes of [0, 1]^d, as
     `stencil_setups` draws them (d = 3 added), with or without one stray node
-    placed off a lattice node by less than 0.6 h per axis."""
+    placed off a lattice node by less than 0.6 h per axis, and with or
+    without the whole lattice shifted off h Z^d by 0.01 h to 0.99 h per axis,
+    which leaves the lattice join to coordinate search."""
     d = draw(st.integers(1, 3))
     k = draw(st.integers(1, (10, 3, 2)[d - 1]))
     lattice = np.array(list(itertools.product(np.arange(k + 1) / k, repeat=d)))
+    if draw(st.booleans()):
+        lattice += np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=d, max_size=d))) / k
     keep = sorted(draw(st.lists(st.integers(0, len(lattice) - 1), min_size=1, unique=True)))
     points = lattice[keep]
     if draw(st.booleans()):
@@ -247,6 +246,31 @@ def test_stencil_kernel_matches_node_loop(lattice):
             stencil_kernel(d, h, AtomicMeasure(points))
         return
     matrix = stencil_kernel(d, h, AtomicMeasure(points)).matrix
+    assert_array_equal(matrix.indptr, expected.indptr)
+    assert_array_equal(matrix.indices, expected.indices)
+    assert_array_equal(matrix.data, expected.data)
+
+
+def moved_node(shift):
+    """The 5 x 5 lattice of step 0.25 with node 7 moved by `shift` along axis 0."""
+    points = np.array(list(itertools.product(np.arange(5) * 0.25, repeat=2)))
+    points[7, 0] += shift
+    return points
+
+
+@pytest.mark.parametrize(
+    "h, points, joined",
+    [
+        (0.25, moved_node(0.5e-11 * 0.25), True),  # within the join's offset bound
+        (0.25, moved_node(2e-11 * 0.25), False),  # beyond it, still within the search's tol
+        (1e3, np.array([[0.0], [1e3], [2e3], [1e3 + 1e-9]]), False),  # nodes 1 and 3 share a key
+    ],
+    ids=["half-bound", "twice-bound", "shared-key"],
+)
+def test_stencil_lattice_join_rule(h, points, joined):
+    assert (_lattice_join(h, points) is not None) == joined
+    expected = stencil_loop(points.shape[1], h, points)
+    matrix = stencil_kernel(points.shape[1], h, AtomicMeasure(points)).matrix
     assert_array_equal(matrix.indptr, expected.indptr)
     assert_array_equal(matrix.indices, expected.indices)
     assert_array_equal(matrix.data, expected.data)
@@ -499,6 +523,12 @@ def test_boundary_refuses_non_integer_ids():
     with pytest.raises(ValueError, match=r"node id 1\.5 is not an integer"):
         nonlocal_boundary(grid.kernel, [1.5, 2, 3], grid.measure)
     assert nonlocal_boundary(grid.kernel, [1.0, 2, 3], grid.measure).omega.tolist() == [1, 2, 3]
+
+
+def test_node_ids_read_arrays_and_generators():
+    with pytest.raises(ValueError, match=r"^node id 1\.5 is not an integer$"):
+        _node_ids(np.array([1.5, 2.0]))
+    assert _node_ids(i for i in (3, 1, 2)).tolist() == [3, 1, 2]
 
 
 def test_boundary_of_center_node_2d():

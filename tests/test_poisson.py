@@ -26,7 +26,7 @@ from nlbvp import (
     unit_cube_grid,
     v_norm_sq,
 )
-from nlbvp import cli
+from nlbvp import cli, measure
 from nlbvp.errors import BadStep, HypothesisViolated
 from nlbvp.fileio import fmt
 from nlbvp.measure import stencil_kernel
@@ -63,12 +63,13 @@ def test_grid_points_are_lexicographic(d):
 
 
 @pytest.mark.parametrize("d, k", [(d, k) for d in (1, 2, 3) for k in (*range(2, 13), 16)])
-def test_grid_kernel_is_the_stencil_kernel(d, k):
-    """The kernel the grid reads off its lattice node ids is the one
-    `stencil_kernel`'s search path resolves from its coordinates, to the
-    bit: a wrong stride, or a neighbour that wraps past the end of a row,
-    shows here."""
+def test_grid_kernel_is_the_stencil_kernel(monkeypatch, d, k):
+    """The kernel the grid joins by lattice keys is the one `stencil_kernel`'s
+    coordinate search resolves, to the bit: a neighbour joined across a row
+    end, or one missed, shows here."""
     grid = unit_cube_grid(d, 1.0 / k)
+    assert measure._lattice_join(1.0 / k, grid.measure.points) is not None
+    monkeypatch.setattr(measure, "_lattice_join", lambda h, points: None)
     expected = stencil_kernel(d, 1.0 / k, grid.measure).matrix
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(grid.kernel.matrix, name), getattr(expected, name)), name
