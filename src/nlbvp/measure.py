@@ -15,7 +15,7 @@ cells' coordinate extents on that axis come within the radius, so a tiny
 radius compares each node with its own cell alone.  Distances are summed
 axis by axis, exactly as `np.linalg.norm` sums them, so the pairs found do
 not depend on how they were searched.  The search serves the coincidence
-scan of the measure, stencil target resolution and quadrature neighborhoods.
+scan of the measure, stencil targets off h Z^d and quadrature neighborhoods.
 
 The node x itself never appears in its own support: the difference
 u(x) - u(y) vanishes on the diagonal, so diagonal atoms would contribute
