@@ -334,11 +334,11 @@ def continuous_functional_check(g, weight, measure):
 
 def max_principle_check(u, domain):
     """True when the interior maximum of u (in canonical order) does not exceed
-    the boundary maximum (up to MAX_PRINCIPLE_TOL times the value scale)."""
+    the boundary maximum (up to MAX_PRINCIPLE_TOL max |u|, at any scale of u)."""
     if domain.l == 0:
         raise EmptyGamma("the nonlocal boundary is empty; the principle is vacuous")
     m = domain.m
-    scale = max(1.0, float(np.max(np.abs(u))))
+    scale = float(np.max(np.abs(u)))
     return float(np.max(u[:m])) <= float(np.max(u[m:])) + MAX_PRINCIPLE_TOL * scale
 
 

@@ -12,10 +12,10 @@ into cells of the search radius, and the occupied cells look up their
 neighbour cells once per cell offset, so each unordered pair is found once.
 A step between adjacent cells along an axis is taken only when the two
 cells' coordinate extents on that axis come within the radius, so a tiny
-radius compares each node with its own cell alone.  Distances are summed
-axis by axis, exactly as `np.linalg.norm` sums them, so the pairs found do
-not depend on how they were searched.  The search serves the coincidence
-scan of the measure, stencil targets off h Z^d and quadrature neighborhoods.
+radius compares each node with its own cell alone.  Distances are taken at
+the search's scale (`_distance`), so no pair depends on how it was searched
+or on a power-of-two scaling of the layout.  The search serves the
+coincidence scan, stencil targets off h Z^d and quadrature neighborhoods.
 
 The node x itself never appears in its own support: the difference
 u(x) - u(y) vanishes on the diagonal, so diagonal atoms would contribute
@@ -51,23 +51,33 @@ class KernelEntry(NamedTuple):
     weight: float
 
 
-def _axis_cells(coord, side, radius):
-    """Cells of width `side` along one axis.
+def _distance(diffs, scale):
+    """Euclidean lengths of the difference columns `diffs`, taken over 2^e >
+    |scale| and scaled back: exact, so `np.linalg.norm`'s bits wherever its
+    squares neither over- nor underflow; near `scale` none do, far ones may be inf."""
+    e = np.frexp(scale)[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(sum(np.ldexp(c, -e) ** 2 for c in diffs)), e)
+
+
+def _axis_cells(coord, radius):
+    """Cells of width `radius` along one axis.
 
     Returns each node's cell rank among the occupied cells and, per rank r,
     whether a pair within `radius` can join cell r to cell r + 1: whether the
-    gap from r's largest to r + 1's smallest coordinate, squared and rooted
-    as the distance filter does, is at most `radius`.
+    gap from r's largest to r + 1's smallest coordinate is at most `radius`.
     """
     order = np.argsort(coord, kind="stable")
     ordered = coord[order]
-    cells = np.floor(ordered / side)  # non-decreasing, like the coordinates
+    with np.errstate(all="ignore"):
+        cells = np.floor(ordered / radius)
+    # past the float range (or at radius 0) distinct coordinates are never within radius
+    cells = np.where(np.isfinite(cells), cells, ordered)
     new = np.r_[True, cells[1:] != cells[:-1]]
     rank = np.empty(coord.size, dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
     starts = np.flatnonzero(new)[1:]
-    gap = ordered[starts] - ordered[starts - 1]
-    return rank, np.sqrt(gap * gap) <= radius
+    return rank, ordered[starts] - ordered[starts - 1] <= radius
 
 
 def _close_pairs(points, radius):
@@ -83,17 +93,12 @@ def _close_pairs(points, radius):
     is taken only when the two cells' coordinate extents on that axis come
     within `radius` (`_axis_cells`), so rank steps over empty cells add no
     candidates, and an offset is skipped when it steps along an axis where no
-    step is taken.  The squared coordinate differences are summed in axis order
-    and rooted, which gives the same bits as `np.linalg.norm` over the
-    difference columns; any pair it keeps differs by at most `radius` on
-    every axis, so the step rule drops none.
+    step is taken.  The filter is `_distance` at the scale of `radius`: a kept
+    pair differs by at most `radius` on every axis, so the step rule drops
+    none; radius 0 pairs coincident nodes only, a negative radius none.
     """
     n, d = points.shape
-    # a difference under about 1e-154 squares to a subnormal or to 0, so the
-    # filter admits it however small the radius: cells no narrower than
-    # 1e-150 keep every such pair in adjacent cells
-    side = max(radius, 1e-150)
-    ranks, steps = zip(*(_axis_cells(axis, side, radius) for axis in points.T))
+    ranks, steps = zip(*(_axis_cells(axis, radius) for axis in points.T))
     strides = np.cumprod([1] + [step.size + 1 for step in steps[:-1]])
     node_cell = sum(rank * stride for rank, stride in zip(ranks, strides))
     by_cell = np.argsort(node_cell, kind="stable")
@@ -121,7 +126,7 @@ def _close_pairs(points, radius):
         across, down = np.divmod(local, np.repeat(counts[b], per))
         u = np.repeat(first[a], per) + across
         v = np.repeat(first[b], per) + down
-        close = np.sqrt(sum((axis[v] - axis[u]) ** 2 for axis in coords)) <= radius
+        close = _distance((axis[v] - axis[u] for axis in coords), radius) <= radius
         i, j = by_cell[u[close]], by_cell[v[close]]
         if not any(offset):
             i, j = i[i < j], j[i < j]
@@ -195,13 +200,13 @@ class AtomicMeasure:
     def locate(self, point, tol=None):
         """Return the node id within `tol` of `point`, or None."""
         tol = self.lookup_tol if tol is None else float(tol)
-        dist = np.linalg.norm(self.points - np.asarray(point, dtype=float), axis=1)
+        dist = _distance((self.points - np.asarray(point, dtype=float)).T, tol)
         best = int(np.argmin(dist))
         return best if dist[best] <= tol else None
 
     def near(self, point, radius):
         """Node ids with 0 < distance(point, node) <= radius."""
-        dist = np.linalg.norm(self.points - np.asarray(point, dtype=float), axis=1)
+        dist = _distance((self.points - np.asarray(point, dtype=float)).T, radius)
         return np.flatnonzero((dist > 0.0) & (dist <= radius)).tolist()
 
 
@@ -349,33 +354,39 @@ def nonlocal_boundary(kernel, omega, measure):
 
 def _lattice_join(h, points):
     """Stencil atoms (rows, cols) joined by the keys k = rint(x / h), or None
-    unless every node sits on its own point of h Z^d: 1e-150 <= h <= 1e150,
-    |k| <= 2^16, each coordinate within 1e-11 h of k h, and no key shared.
-    Node k is joined both ways to node k + e_a, which follows it in the
-    lexicographic order whose least significant key is axis a; no distance
-    is taken, and memory is linear in the node count.
+    unless every node sits on its own point of h Z^d: |k| <= bound = min(2^16,
+    2^(b-2)) with b = 62 // d, each coordinate within 1e-11 h of k h, and no
+    key shared.  The fields k + bound <= 2^(b-1) pack into one int64 id, b
+    bits per axis with axis 0 the most significant (the grids' order), so one
+    sort of the ids and one `searchsorted` of every id plus every axis stride
+    join node k both ways to node k + e_a (k's id plus stride a, no carry).
+    No distance is taken, and memory is linear in the node count.
 
     These are `_stencil_search`'s atoms, so the CSR arrays agree bit for bit:
     with the rounding of k h (under 2^-53 |k| h < 7.3e-12 h) each node lies
-    within 1.8e-11 h of its lattice point per axis, and for such h the
-    search's squares neither over- nor underflow, so it puts node k + s e_a
-    within 3.7e-11 sqrt(d) h < h 1e-9 of the target x + s h e_a (for any d
-    whose 3^d cell offsets it can enumerate) and every other node nearly h
-    away, beyond h/2: one hit per target, no tie and no stray.
+    within 1.8e-11 h of its lattice point per axis, and the search takes its
+    distances at the scale of h, so it puts node k + s e_a within
+    3.7e-11 sqrt(d) h < h 1e-9 of the target x + s h e_a (for any d whose
+    3^d cell offsets it can enumerate) and every other node nearly h away,
+    beyond h/2: one hit per target, no tie and no stray.
     """
-    keys = np.rint(points / h)
-    offset = np.abs(points - keys * h).max()
-    if not (1e-150 <= h <= 1e150 and np.abs(keys).max() <= 2**16 and offset <= 1e-11 * h):
+    bits = 62 // points.shape[1]
+    bound = 2 ** min(16, bits - 2)
+    with np.errstate(over="ignore"):  # a key past the float range fails the bound
+        keys = np.rint(points / h)
+    if not (np.abs(keys).max() <= bound and np.abs(points - keys * h).max() <= 1e-11 * h):
         return None
-    atoms = []
-    for axis, unit in enumerate(np.eye(points.shape[1])):
-        order = np.lexsort(np.roll(keys.T, -axis, axis=0))
-        step = np.diff(keys[order], axis=0)
-        if not step.any(axis=1).all():
-            return None  # two nodes share a key
-        tail = np.flatnonzero((step == unit).all(axis=1))
-        atoms += [order[np.stack([tail, tail + 1])], order[np.stack([tail + 1, tail])]]
-    return tuple(np.hstack(atoms))
+    strides = 2 ** (bits * np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64))
+    ids = (keys + bound).astype(np.int64) @ strides
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    if np.any(ids[1:] == ids[:-1]):
+        return None  # two nodes share a key
+    targets = (strides[:, None] + ids).ravel()  # axis by axis, every id plus the stride
+    at = np.searchsorted(ids, targets)
+    tail = np.flatnonzero(np.r_[ids, -1][at] == targets)
+    pairs = order[np.stack([tail % ids.size, at[tail]])]
+    return tuple(np.hstack([pairs, pairs[::-1]]))
 
 
 def _stencil_search(d, h, points):
@@ -401,7 +412,7 @@ def _stencil_search(d, h, points):
     toward = from_target[axis, pair]
     sign = np.where(toward >= 0.0, 1.0, -1.0)
     from_target[axis, pair] = toward - sign * h
-    dist = np.sqrt(sum(c**2 for c in from_target))
+    dist = _distance(from_target, h)
     # j sees i on the same axis with the opposite sign, at the same distance
     near = np.flatnonzero(dist <= band)
     i, j = np.r_[i[near], j[near]], np.r_[j[near], i[near]]
@@ -438,8 +449,10 @@ def stencil_kernel(d, h, measure):
     if measure.dim != d:
         raise ValueError(f"measure has dimension {measure.dim}, expected {d}")
     rows, cols = _lattice_join(h, measure.points) or _stencil_search(d, h, measure.points)
-    matrix = sp.csr_matrix((np.full(rows.size, 1.0 / (h * h)), (rows, cols)), shape=(len(measure),) * 2)
-    return TransitionKernel(matrix)
+    m, e = np.frexp(h)  # 1/h^2 = 2^-2e / m^2, with no h * h to underflow
+    with np.errstate(over="ignore"):  # an overflowing weight is refused by TransitionKernel
+        weights = np.full(rows.size, np.ldexp(1.0 / (m * m), -2 * e))
+    return TransitionKernel(sp.csr_matrix((weights, (rows, cols)), shape=(len(measure),) * 2))
 
 
 def graph_kernel(edges, coordinates=None):
@@ -504,20 +517,19 @@ def quadrature_kernel(gamma, delta, measure):
 
     `gamma` is either a radial density, marked by a true `gamma.radial`
     attribute as `fileio.radial_density` returns, or a (p, q) density.  A
-    radial density takes the array of pair distances r and is called once;
-    r is summed axis by axis and rooted, the bits `np.linalg.norm` gives, and
-    each value serves both orientations of its pair, so the symmetry check
-    passes it on every pair.  A (p, q) density is probed in both
-    orientations, either pair by pair or, when `gamma.vectorized` is true,
-    once per orientation on coordinate-major stacks of shape (d, k) (see
-    `_sample`).
+    radial density takes the array of pair distances r (`_distance` at the
+    scale of delta) and is called once, and each value serves both
+    orientations of its pair, so the symmetry check passes it on every pair.
+    A (p, q) density is probed in both orientations, either pair by pair or,
+    when `gamma.vectorized` is true, once per orientation on coordinate-major
+    stacks of shape (d, k) (see `_sample`).
     """
     if not 0.0 < delta < np.inf:
         raise ValueError(f"interaction radius delta must be positive and finite, got {delta}")
     pts = measure.points
     i, j = _close_pairs(pts, delta + measure.lookup_tol)
     if getattr(gamma, "radial", False):
-        g_ij = g_ji = gamma(np.sqrt(sum((axis[i] - axis[j]) ** 2 for axis in pts.T)))
+        g_ij = g_ji = gamma(_distance((axis[i] - axis[j] for axis in pts.T), delta))
     else:
         p, q = pts[i], pts[j]
         g_ij, g_ji = _sample(gamma, p, q), _sample(gamma, q, p)

@@ -287,6 +287,35 @@ def test_infinite_kernel_weights_exit_1_before_assembly(tmp_path, capsys, monkey
     assert err.startswith("error: non-finite kernel weight") and err.count("\n") == 1
 
 
+def test_stencil_document_at_h_1e_170_names_the_infinite_weight():
+    """At h = 1e-170 the measure is accepted and 1/h^2 overflows: loading
+    names the non-finite kernel weight, not a division by zero."""
+    data = {
+        "family": "stencil", "dimension": 1, "h": 1e-170,
+        "nodes": [[k * 1e-170] for k in range(5)], "omega": [1, 2, 3],
+    }
+    with pytest.raises(DocumentError, match="non-finite kernel weight at node 0"):
+        load_document(data)
+
+
+def test_max_principle_reads_the_same_at_every_scale(tmp_path, capsys):
+    """f = 1 lifts the interior of a 33 x 33 lattice above the boundary's
+    g = 0, and the check says so at coordinates and h times 1 and 2^-40,
+    where the solution is 2^-80 times smaller."""
+    n = 32
+    verdicts = []
+    for scale in (1.0, 2.0**-40):
+        data = {
+            "family": "stencil", "dimension": 2, "h": scale / n,
+            "nodes": [[scale * i / n, scale * j / n] for i in range(n + 1) for j in range(n + 1)],
+            "omega": [i * (n + 1) + j for i in range(1, n) for j in range(1, n)],
+            "problem": {"kind": "dirichlet", "f": "1", "g": "0"},
+        }
+        assert cli.main(["diagnose", write_doc(tmp_path, "doc.json", data)]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out)["max_principle"])
+    assert verdicts == [False, False]
+
+
 OVERFLOWING_FORMS = {
     # K = 1e300 is finite, but W = mass * K = 1e310 is not
     "weights": (

@@ -3,11 +3,12 @@
 import functools
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -28,7 +29,7 @@ from nlbvp.errors import (
     NonPositiveConductance,
 )
 from nlbvp.fileio import radial_density
-from nlbvp.measure import _close_pairs, _lattice_join, _node_ids
+from nlbvp.measure import _axis_cells, _close_pairs, _lattice_join, _node_ids
 
 from conftest import point_clouds, three_node_setup
 
@@ -51,6 +52,15 @@ def test_measure_rejects_coincident_nodes():
         AtomicMeasure([[0.0], [1e-14]], lookup_tol=1e-12)
 
 
+def test_measure_accepts_nodes_whose_squared_gaps_underflow():
+    """Nodes 1e-170 apart square their gaps to 0, but the coincidence scan
+    measures them at the scale of the tolerance."""
+    measure = AtomicMeasure(np.arange(5.0)[:, None] * 1e-170, lookup_tol=1e-179)
+    assert len(measure) == 5
+    assert measure.locate([2e-170]) == 2
+    assert measure.near([2e-170], 1.5e-170) == [1, 3]
+
+
 def test_measure_lookup():
     measure = interval_measure(0.25)
     assert measure.locate([0.5 + 1e-12], tol=1e-9) == 2
@@ -62,12 +72,17 @@ def test_measure_lookup():
 
 
 def all_close_pairs(points, radius):
-    """Every ordered pair (i, j), i != j, whose distance, summed axis by axis
-    and rooted, is at most radius; sorted by (i, j)."""
+    """Every ordered pair (i, j), i != j, whose distance is at most radius;
+    sorted by (i, j).  Each pair's differences are divided by the power of two
+    above its largest one, squared, summed axis by axis, rooted and scaled
+    back: the bits of the plain root wherever its squares neither over- nor
+    underflow, and no distance of a distinct pair comes out 0."""
     n = len(points)
     i, j = np.divmod(np.arange(n * n), n)
-    squares = sum((points[j, a] - points[i, a]) ** 2 for a in range(points.shape[1]))
-    keep = (np.sqrt(squares) <= radius) & (i != j)
+    diffs = points[j] - points[i]
+    e = np.frexp(np.abs(diffs).max(axis=1))[1]
+    squares = sum(np.ldexp(diffs[:, a], -e) ** 2 for a in range(points.shape[1]))
+    keep = (np.ldexp(np.sqrt(squares), e) <= radius) & (i != j)
     return i[keep], j[keep]
 
 
@@ -108,6 +123,17 @@ def test_close_pairs_match_all_pairs(cloud):
     expected_i, expected_j = expected_i[upper], expected_j[upper]
     assert_array_equal(i, expected_i)
     assert_array_equal(j, expected_j)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-320])
+def test_axis_cells_keep_distinct_coordinates_apart(radius):
+    """At radius 0, or where x / radius passes the float range, each distinct
+    coordinate is its own cell and no step joins two, so the search compares
+    no distinct nodes rather than all of them."""
+    coord = np.array([0.5, 0.0, 1.0, 0.5, 0.25])
+    rank, steps = _axis_cells(coord, radius)
+    assert_array_equal(rank, [2, 0, 3, 2, 1])
+    assert not steps.any()
 
 
 # -- stencil kernel --------------------------------------------------------------
@@ -258,14 +284,25 @@ def moved_node(shift):
     return points
 
 
+def keyed_lattice(d, top):
+    """The 2^d nodes of a unit-step lattice cube whose largest key along axis
+    0 is `top`."""
+    points = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    points[:, 0] += top - 1
+    return points
+
+
 @pytest.mark.parametrize(
     "h, points, joined",
     [
         (0.25, moved_node(0.5e-11 * 0.25), True),  # within the join's offset bound
         (0.25, moved_node(2e-11 * 0.25), False),  # beyond it, still within the search's tol
         (1e3, np.array([[0.0], [1e3], [2e3], [1e3 + 1e-9]]), False),  # nodes 1 and 3 share a key
+        (1.0, keyed_lattice(4, 2**13), True),  # d = 4 fields of 15 bits hold |k| <= 2^13
+        (1.0, keyed_lattice(4, 2**13 + 1), False),
+        (1.0, keyed_lattice(2, 2**16 + 1), False),  # d <= 3 keeps the bound |k| <= 2^16
     ],
-    ids=["half-bound", "twice-bound", "shared-key"],
+    ids=["half-bound", "twice-bound", "shared-key", "d4-key-2^13", "d4-key-2^13+1", "d2-key-2^16+1"],
 )
 def test_stencil_lattice_join_rule(h, points, joined):
     assert (_lattice_join(h, points) is not None) == joined
@@ -274,6 +311,57 @@ def test_stencil_lattice_join_rule(h, points, joined):
     assert_array_equal(matrix.indptr, expected.indptr)
     assert_array_equal(matrix.indices, expected.indices)
     assert_array_equal(matrix.data, expected.data)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0 / 3.0], ids=["joined", "searched"])
+def test_stencil_kernel_at_h_1e155(shift):
+    """Coordinates near 1e155 square past the float range; the kernel still
+    has all 8 atoms, each 1/h^2 = 1e-310, and no warning is raised."""
+    h = 1e155
+    points = (np.arange(5.0)[:, None] + shift) * h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix = stencil_kernel(1, h, AtomicMeasure(points, lookup_tol=h * 1e-9)).matrix
+    assert_array_equal(matrix.indptr, [0, 1, 3, 5, 7, 8])
+    assert_array_equal(matrix.indices, [1, 0, 2, 1, 3, 2, 4, 3])
+    assert_array_equal(matrix.data, np.full(8, 1e-310))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 0.25, 0.1, 1.0 / 3.0]),
+    st.booleans(),
+    st.integers(-520, 520),
+)
+@example(d=2, n_axis=2, h=0.25, shifted=False, k=520)
+@example(d=3, n_axis=1, h=1.0 / 3.0, shifted=True, k=-520)
+@example(d=2, n_axis=2, h=0.25, shifted=True, k=-508)  # 1/h^2 = 2^1020, the largest finite weight
+def test_stencil_kernel_scales_by_powers_of_two(d, n_axis, h, shifted, k):
+    """Coordinates, h and the lookup tolerance times 2^k: the measure is
+    accepted, the lattice is joined (or, shifted by h/3, searched) as at
+    k = 0, the CSR pattern is the same and every weight is 4^-k times its
+    k = 0 value, bit for bit; where that overflows, the kernel is refused."""
+    points = np.array(list(itertools.product(range(n_axis + 1), repeat=d))) * h + shifted * h / 3.0
+
+    def kernel(k):
+        scaled = np.ldexp(points, k)
+        assert (_lattice_join(np.ldexp(h, k), scaled) is None) == shifted
+        measure = AtomicMeasure(scaled, lookup_tol=np.ldexp(h * 1e-9, k))
+        return stencil_kernel(d, np.ldexp(h, k), measure).matrix
+
+    reference = kernel(0)
+    with np.errstate(over="ignore"):
+        expected = np.ldexp(reference.data, -2 * k)
+    if not np.isfinite(expected).all():
+        with pytest.raises(ValueError, match="non-finite kernel weight"):
+            kernel(k)
+        return
+    matrix = kernel(k)
+    assert_array_equal(matrix.indptr, reference.indptr)
+    assert_array_equal(matrix.indices, reference.indices)
+    assert_array_equal(matrix.data.view(np.int64), expected.view(np.int64))
 
 
 # -- graph kernel ----------------------------------------------------------------
@@ -388,6 +476,32 @@ def test_quadrature_overflowing_weight_is_refused_without_a_warning():
     measure = AtomicMeasure([[0.0], [0.25], [0.5]], [2.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="non-finite kernel weight at node 0"):
         quadrature_kernel(lambda p, q: 1e308, 0.3, measure)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(st.integers(0, 64), min_size=d, max_size=d), min_size=1, max_size=30)
+    ),
+    st.sampled_from([0.125, 0.25, 0.3, 0.5]),
+    st.integers(-520, 520),
+)
+@example(indices=[[0], [1], [16]], delta=0.25, k=520)
+@example(indices=[[0, 0], [1, 0], [16, 0], [0, 16]], delta=0.25, k=-520)
+def test_quadrature_kernel_is_unchanged_by_powers_of_two(indices, delta, k):
+    """Coordinates, delta and the lookup tolerance times 2^k: a constant
+    radial density gives the same CSR arrays as at k = 0."""
+    points = np.unique(np.array(indices, dtype=float) / 64, axis=0)  # pairs at exactly delta
+    gamma = radial_density("1.5")
+
+    def kernel(k):
+        measure = AtomicMeasure(np.ldexp(points, k), lookup_tol=np.ldexp(1e-12, k))
+        return quadrature_kernel(gamma, np.ldexp(delta, k), measure).matrix
+
+    reference, matrix = kernel(0), kernel(k)
+    assert_array_equal(matrix.indptr, reference.indptr)
+    assert_array_equal(matrix.indices, reference.indices)
+    assert_array_equal(matrix.data.view(np.int64), reference.data.view(np.int64))
 
 
 RADIAL_EXPRESSIONS = ["exp(-r*r)", "1/(1+r)", "r", "2.5", "sqrt(r)*cos(r)", "abs(1 - 3*r)**1.5"]
