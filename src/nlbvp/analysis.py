@@ -11,12 +11,12 @@ Boundary nodes never interact, so once the boundary block is eliminated the
 full pencil and the Kron pencil share the interior pattern
 P = pattern(A_oo + A_og A_go), and the Friedrichs pencil A_oo has pattern P
 too when every boundary node couples to at most one interior node (as in
-every stencil form).  On such a form the Friedrichs pencil, always factored
-in its own fill-reducing order, leaves that order on the form, and each
-Poincare pencil factored afterwards is factored in it, the full pencil with
-the boundary first.  A Poincare constant computed before any Friedrichs
-constant on the form, or on any other form, comes from its pencil's own
-order; the two orders' constants differ in the last digits only.
+every stencil form).  Such a form keeps one fill-reducing order of P,
+`shared_order`, read from the pattern of A_oo, and each Poincare pencil is
+factored in it, the full pencil with the boundary first, whichever constant
+is computed first.  The Friedrichs pencil is factored in its own order of
+that pattern, the same one.  On any other form each pencil is factored in
+its own order.
 
 The Poincare constant comes in two variants differing only in which mass
 diagonal appears on the left-hand side of the inequality:
@@ -196,13 +196,12 @@ def friedrichs_constant(form, return_inverse=False):
     (omega_block, interior masses).  With `return_inverse` the report comes
     with the eigensolve's factorization as the solve of the shifted block
     A_oo + s M_o (see `linalg.smallest_eigenpairs`), None when there is none:
-    a preconditioner for the Dirichlet system.  When every boundary node
-    couples to at most one interior node, the form keeps the factorization's
-    elimination order as `shared_order` for its Poincare pencils.
+    a preconditioner for the Dirichlet system.  On a form whose Poincare
+    pencils share its pattern and that keeps no `shared_order` yet, the
+    factorization's elimination order becomes that order.
     """
     value, vector, inverse, order = linalg.smallest_eigenpairs(form.omega_block, form.mass_omega)
-    # with at most one interior neighbour per boundary node, A_oo has pattern P
-    if np.bincount(form.gamma_block.indices, minlength=1).max() <= 1:
+    if form.shared_order is None and _one_neighbour(form):
         form.shared_order = order
     witness = np.concatenate([vector, np.zeros(form.domain.l)])  # zero on the boundary
     report = _gap_report(value, witness, interior_tol(form))
@@ -216,8 +215,22 @@ def _gap_report(value, witness, tolerance):
     return InequalityReport(constant=constant, eigenvalue=value, witness=witness)
 
 
+def _one_neighbour(form):
+    """Whether every boundary node couples to at most one interior node, so
+    that A_oo has the pattern P of the Poincare pencils."""
+    return np.bincount(form.gamma_block.indices, minlength=1).max() <= 1
+
+
+def _shared_order(form):
+    """The form's `shared_order`, read from the pattern of A_oo on first use
+    when the form has one (see the module docstring), else None."""
+    if form.shared_order is None and _one_neighbour(form):
+        form.shared_order = linalg.fill_reducing_order(form.omega_block)
+    return form.shared_order
+
+
 def _poincare_full(form, basis):
-    order = form.shared_order
+    order = _shared_order(form)
     if order is not None:  # the boundary nodes first, then P in its kept order
         order = np.concatenate([np.arange(form.domain.m, form.n), order])
     value, vector, _, _ = linalg.smallest_eigenpairs(
@@ -248,7 +261,7 @@ def _poincare_omega(form, basis):
     schur = form.omega_block - y @ y.T
     labels = basis._spanned_labels()[:m]
     value, interior, _, _ = linalg.smallest_eigenpairs(
-        schur, form.mass_omega, deflate=labels, order=form.shared_order
+        schur, form.mass_omega, deflate=labels, order=_shared_order(form)
     )
     witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])
     return _gap_report(value, witness, basis.tolerance)

@@ -48,8 +48,8 @@ class AssembledForm:
     mass_omega   : node masses restricted to the interior block
     symmetry_defect : the kernel's symmetry defect, checked at assembly
     nullspace    : the default-tolerance `analysis.nullspace` basis, once computed
-    shared_order : the Friedrichs pencil's elimination order, once computed
-                   on a form whose spectral pencils share its pattern (see
+    shared_order : the elimination order of A_oo's pattern, once computed on
+                   a form whose spectral pencils share that pattern (see
                    `analysis`)
     """
 

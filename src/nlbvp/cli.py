@@ -7,6 +7,7 @@ the error's class in `errors` carries, and 1 for any other error.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import functools
 import json
 import sys
@@ -24,6 +25,10 @@ from .solvers import (
     solve_neumann,
     solve_regularized,
 )
+
+# interior nodes from which `bench` factors the Friedrichs and full pencils
+# at once: below it a second thread costs more than the overlap saves
+CONCURRENT_MIN_NODES = 2500
 
 
 def _parse_step(text):
@@ -131,8 +136,18 @@ def _bench_one(d, h, exact_kind):
     if not report.nonnegative_type or not report.zero_row_sums:
         raise NlbvpError("reduced stiffness matrix is not of non-negative type")
     basis = analysis.nullspace(form)
-    friedrichs = analysis.friedrichs_constant(form)
-    poincare = analysis.poincare_constant(form, basis, variant="full")
+    if grid.m >= CONCURRENT_MIN_NODES:
+        # SuperLU releases the GIL while it factors, and the full pencil's
+        # order is read from its pattern, not from the Friedrichs factor, so
+        # the two factorizations overlap; either may store the form's shared
+        # order, and both store the same one
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(analysis.poincare_constant, form, basis, "full")
+            friedrichs = analysis.friedrichs_constant(form)
+            poincare = future.result()
+    else:
+        friedrichs = analysis.friedrichs_constant(form)
+        poincare = analysis.poincare_constant(form, basis, variant="full")
     error, solution = poisson.manufactured_solve(grid, form, *_manufactured(d, exact_kind))
     runtime = (time.perf_counter() - start) * 1000.0
     row = {

@@ -349,7 +349,7 @@ def load_document(source):
         elif family == "quadrature":
             delta = positive_finite(_require(data, "delta"), "delta")
             density = radial_density(_require(data, "gamma"))
-            measure = AtomicMeasure(points, masses)
+            measure = AtomicMeasure(points, masses, lookup_tol=delta * 1e-9)
             kernel = quadrature_kernel(density, delta, measure)
         elif family == "graph":
             edges = _sequence(_require(data, "edges"), "edges")

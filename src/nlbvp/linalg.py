@@ -14,8 +14,9 @@ Two workhorses live here:
   its CSR arrays, for ARPACK's shift-invert Lanczos, deflated by a component
   labelling in one `bincount`.  The LU eliminates in a multiple minimum
   degree (MMD) order of the pencil's own pattern, or in an order the caller
-  hands in, and is handed back with that order as the solve of the shifted
-  pencil A + s D, a preconditioner for A.
+  hands in, such as the one `fill_reducing_order` reads from a pattern
+  without factoring, and is handed back with that order as the solve of the
+  shifted pencil A + s D, a preconditioner for A.
 
 Everything is deterministic: fixed start vectors, no randomized restarts.
 """
@@ -150,6 +151,21 @@ def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditi
         f"CG did not reach relative residual {tol} in {maxiter} iterations on a "
         f"size-{n} system (reached {true_res / rhs_norm:.3e})"
     )
+
+
+def fill_reducing_order(matrix):
+    """The order in which `smallest_eigenpairs` eliminates a pencil of the
+    matrix's pattern (SuperLU's MMD_AT_PLUS_A), as node ids, the first
+    eliminated first, read from the pattern with no factorization.  SuperLU
+    fixes the column order before it factors, so an incomplete factorization
+    that drops every entry it may, of a diagonally dominant matrix with the
+    pattern's entries and the diagonal, reports the same order."""
+    matrix = sp.csr_matrix(matrix)
+    pattern = sp.csr_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr), matrix.shape)
+    dominant = (sp.diags(np.diff(matrix.indptr) + 1.0) - pattern).tocsc()
+    pivots = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}  # as in the eigensolver
+    ilu = spla.spilu(dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A", **pivots)
+    return np.argsort(ilu.perm_c)
 
 
 def smallest_eigenpairs(matrix, masses, deflate=None, order=None):

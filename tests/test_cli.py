@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import nlbvp
 from nlbvp import cli, fileio
-from nlbvp.errors import DocumentError
+from nlbvp.errors import DocumentError, EigensolverFailure
 from nlbvp.fileio import load_document, gamma_values_from_table
 
 
@@ -314,6 +314,25 @@ def test_max_principle_reads_the_same_at_every_scale(tmp_path, capsys):
         assert cli.main(["diagnose", write_doc(tmp_path, "doc.json", data)]) == 0
         verdicts.append(json.loads(capsys.readouterr().out)["max_principle"])
     assert verdicts == [False, False]
+
+
+def test_quadrature_document_kernels_are_the_same_at_every_scale():
+    """A 9 x 9 lattice document with delta = 3h loads with the same 1,656-atom
+    kernel pattern at coordinates and delta times 1 and 2^-40: its lookup
+    tolerance is delta * 1e-9, where an absolute 1e-12 would merge the
+    2^-40-scaled nodes, 1.1e-13 apart."""
+    n = 8
+    patterns = []
+    for scale in (1.0, 2.0**-40):
+        data = {
+            "family": "quadrature", "dimension": 2, "delta": 3 * scale / n, "gamma": "1",
+            "nodes": [[scale * i / n, scale * j / n] for i in range(n + 1) for j in range(n + 1)],
+            "omega": [i * (n + 1) + j for i in range(1, n) for j in range(1, n)],
+        }
+        kernel = load_document(data).kernel.matrix
+        patterns.append((kernel.indptr, kernel.indices))
+    assert patterns[0][1].size == 1656
+    assert all(np.array_equal(a, b) for a, b in zip(*patterns))
 
 
 OVERFLOWING_FORMS = {
@@ -810,6 +829,41 @@ def test_bench_refusals_exit_1(capsys, argv, message):
     assert cli.main(["bench", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_concurrent_bench_prints_the_sequential_columns(monkeypatch, capsys):
+    """Factoring the full pencil on a worker thread while the main thread
+    factors the Friedrichs pencil changes no printed bit: every column but
+    the runtime is the sequential run's, also with the interpreter switching
+    threads every microsecond."""
+    tables = []
+    interval = sys.getswitchinterval()
+    for least in (0, 10**9):
+        monkeypatch.setattr(cli, "CONCURRENT_MIN_NODES", least)
+        sys.setswitchinterval(1e-6 if least == 0 else interval)
+        try:
+            assert cli.main(["bench", "--d", "3", "--h", "1/8,1/16"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        tables.append([line.split("\t")[:7] for line in capsys.readouterr().out.splitlines()])
+    assert tables[0] == tables[1]
+
+
+def test_failing_worker_exits_as_the_sequential_bench(monkeypatch, capsys):
+    """An eigensolver failure on the worker thread reaches `main` through
+    the future: the same exit code and error line as the sequential run."""
+
+    def fail(form, basis, variant="full"):
+        raise EigensolverFailure("shift-invert Lanczos failed on a size-9 pencil")
+
+    monkeypatch.setattr(nlbvp.analysis, "poincare_constant", fail)
+    outcomes = []
+    for least in (0, 10**9):
+        monkeypatch.setattr(cli, "CONCURRENT_MIN_NODES", least)
+        outcomes.append((cli.main(["bench", "--d", "2", "--h", "1/4"]), capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 1
+    assert outcomes[0][1].err == "error: shift-invert Lanczos failed on a size-9 pencil\n"
 
 
 def test_bench_writes_report_and_plot_data(tmp_path):

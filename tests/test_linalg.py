@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.sparse.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from nlbvp import assemble_form, unit_cube_grid
 from nlbvp.errors import EigensolverFailure, NoConvergence
-from nlbvp.linalg import conjugate_gradient, smallest_eigenpairs
+from nlbvp.linalg import conjugate_gradient, fill_reducing_order, smallest_eigenpairs
 
 
 def random_spd(n, rng):
@@ -245,3 +247,34 @@ def test_smallest_eigenpairs_take_and_return_an_elimination_order(rng):
     # the dense path factors nothing and uses no order
     _, _, inverse, order = smallest_eigenpairs(a[:2, :2], masses[:2])
     assert inverse is None and order is None
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """A symmetric pattern on 1-40 nodes split into up to four pieces with no
+    entry between them, each diagonal entry present or not, so that some rows
+    hold their diagonal entry only, or nothing."""
+    n = draw(st.integers(1, 40))
+    piece = draw(arrays(np.int64, n, elements=st.integers(0, 3)))
+    upper = np.triu(draw(arrays(bool, (n, n))), 1) & (piece[:, None] == piece)
+    return sp.csr_matrix((upper | upper.T | np.diag(draw(arrays(bool, n)))).astype(float))
+
+
+_CUBE = unit_cube_grid(3, 1.0 / 8.0)
+_CUBE_FORM = assemble_form(_CUBE.kernel, _CUBE.measure, _CUBE.domain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_patterns())
+@example(_CUBE_FORM.omega_block)  # the Friedrichs pencil of the d = 3, h = 1/8 grid
+@example(_CUBE_FORM.matrix)  # its full pencil
+def test_fill_reducing_order_is_the_order_superlu_factors_in(matrix):
+    """The order read from the pattern is the one SuperLU's symmetric-mode LU
+    eliminates in when it orders a matrix of that pattern plus the diagonal
+    itself, as `smallest_eigenpairs` does."""
+    shift = abs(matrix).sum(axis=1).max() + 1.0  # B = A + shift I: diagonally dominant
+    b = sp.csc_matrix(matrix + shift * sp.identity(matrix.shape[0]))
+    factor = scipy.sparse.linalg.splu(
+        b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    assert np.array_equal(fill_reducing_order(matrix), np.argsort(factor.perm_c))
