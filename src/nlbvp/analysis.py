@@ -47,32 +47,27 @@ MAX_PRINCIPLE_TOL = 1e-12
 @dataclass
 class NullspaceBasis:
     """The zero-energy subspace of the form, held as the component labelling
-    of its coupling graph: the span of the indicators of `components`."""
+    of its coupling graph: the span of the indicators of its labels."""
 
-    labels: np.ndarray  # component id of each node, in the canonical ordering
-    components: np.ndarray  # ascending ids of the spanned components
+    labels: np.ndarray  # component id 0..k-1 of each node, in the canonical ordering
     masses: np.ndarray  # node masses in the canonical ordering
     tolerance: float
     domain: object
 
     @property
     def dimension(self):
-        return self.components.size
+        return int(self.labels.max(initial=-1)) + 1
 
     @property
     def vectors(self):
-        """(n, k) indicators of the spanned components, orthonormal in the full
-        mass inner product, built on each access for callers that want columns."""
-        vectors = (self.labels[:, None] == self.components).astype(float)
+        """(n, k) indicators of the components, orthonormal in the full mass
+        inner product, built on each access for callers that want columns."""
+        vectors = (self.labels[:, None] == np.arange(self.dimension)).astype(float)
         return vectors / np.sqrt(self.masses @ vectors)
 
-    def _spanned_labels(self):
-        """The labels, -1 on the nodes of the components not spanned."""
-        return np.where(np.isin(self.labels, self.components), self.labels, -1)
-
     def _sums(self, values):
-        """Sums of a node function over the spanned components, in order."""
-        return np.bincount(self.labels, values)[self.components]
+        """Sums of a node function over the components, in label order."""
+        return np.bincount(self.labels, values, self.dimension)
 
 
 @dataclass
@@ -155,14 +150,8 @@ def nullspace(form, tol=None):
     weak_sum = np.bincount(row[weak], weight[weak], n) + np.bincount(col[weak], weight[weak], n)
     kept = ~weak | (weak_sum[row] >= tol) | (weak_sum[col] >= tol)
     graph = sp.coo_matrix((np.ones(np.count_nonzero(kept)), (row[kept], col[kept])), shape=(n, n))
-    count, labels = csgraph.connected_components(graph, directed=False)
-    basis = NullspaceBasis(
-        labels=labels,
-        components=np.arange(count),
-        masses=form.mass_diag,
-        tolerance=tol,
-        domain=form.domain,
-    )
+    labels = csgraph.connected_components(graph, directed=False)[1]
+    basis = NullspaceBasis(labels=labels, masses=form.mass_diag, tolerance=tol, domain=form.domain)
     if tol == default:
         form.nullspace = basis
     return basis
@@ -170,7 +159,7 @@ def nullspace(form, tol=None):
 
 def project_out_kernel(u, basis):
     """Remove the interior-mass-weighted projection of u onto the nullspace:
-    each spanned component loses its `basis.masses`-weighted interior mean.
+    each component loses its `basis.masses`-weighted interior mean.
 
     The projection minimizes the interior mass norm of the difference; the
     result is interior-mass orthogonal to every basis vector.  Orthogonality
@@ -183,9 +172,7 @@ def project_out_kernel(u, basis):
     weights[: domain.m] = basis.masses[: domain.m]
     total = basis._sums(weights)
     mean = np.divide(basis._sums(weights * u), total, out=np.zeros_like(total), where=total > 0.0)
-    shift = np.zeros(domain.n)  # indexed by component id
-    shift[basis.components] = mean
-    return u - shift[basis.labels]
+    return u - mean[basis.labels]
 
 
 def friedrichs_constant(form, return_inverse=False):
@@ -234,7 +221,7 @@ def _poincare_full(form, basis):
     if order is not None:  # the boundary nodes first, then P in its kept order
         order = np.concatenate([np.arange(form.domain.m, form.n), order])
     value, vector, _, _ = linalg.smallest_eigenpairs(
-        form.matrix, form.mass_diag, deflate=basis._spanned_labels(), order=order
+        form.matrix, form.mass_diag, deflate=basis.labels, order=order
     )
     return _gap_report(value, vector, basis.tolerance)
 
@@ -259,9 +246,8 @@ def _poincare_omega(form, basis):
     y = form.gamma_block.copy()  # Y: A_og's data scaled
     y.data *= np.sqrt(inverse_gg)[y.indices]
     schur = form.omega_block - y @ y.T
-    labels = basis._spanned_labels()[:m]
     value, interior, _, _ = linalg.smallest_eigenpairs(
-        schur, form.mass_omega, deflate=labels, order=_shared_order(form)
+        schur, form.mass_omega, deflate=basis.labels[:m], order=_shared_order(form)
     )
     witness = np.concatenate([interior, -inverse_gg * (form.gamma_block.T @ interior)])
     return _gap_report(value, witness, basis.tolerance)
@@ -287,7 +273,7 @@ def strong_poincare_check(basis):
     """True when the nullspace is exactly the constants (one component covers
     every node): then the mean-zero inequality and the projected inequality
     coincide."""
-    return basis.dimension == 1 and bool(np.all(basis.labels == basis.components[0]))
+    return basis.dimension == 1
 
 
 def trace_weight(kernel, domain, variant="sufficient", c=None):
@@ -314,7 +300,7 @@ def trace_weight(kernel, domain, variant="sufficient", c=None):
 
 def compatibility_defect(f, g, basis):
     """Worst violation of the solvability condition: the load must annihilate
-    every nullspace vector, max over spanned components c of
+    every nullspace vector, max over components c of
     |sum_c load m| / sqrt(M_c), m = `basis.masses` and M_c the mass of c."""
     load = np.concatenate([np.asarray(f, dtype=float), np.asarray(g, dtype=float)])
     if load.shape != basis.masses.shape:

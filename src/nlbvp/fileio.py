@@ -203,14 +203,6 @@ def gamma_values_from_table(path):
     return np.array([value for _, _, region, value in read_solution_table(path) if region == "gamma"])
 
 
-def write_matrix_coo(matrix, path):
-    """Coordinate-list export: row, col, value per line."""
-    coo = matrix.tocoo()
-    with open(path, "w") as handle:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            handle.write(f"{i}\t{j}\t{fmt(v)}\n")
-
-
 def write_bench_report(rows):
     """Benchmark table: h, m, l, max_error, order, friedrichs_C, poincare_C, runtime_ms."""
     reals = ("max_error", "order", "friedrichs_C", "poincare_C", "runtime_ms")

@@ -177,8 +177,12 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
     Works on B = D^{-1/2} A D^{-1/2} (A's CSR data scaled in index order, so
     B is exactly symmetric when A is, and refused otherwise), projected by
     x - w (sum_c w x)[id], w = sqrt(m / M_c), one `bincount`, skipped when
-    nothing is deflated.  B + s I, s = 1e-6 ||B||_inf added on the diagonal,
-    is factored once by `splu`, and ARPACK's shift-invert Lanczos (`eigsh`,
+    nothing is deflated.  B is run at unit scale, as CG runs its load: its
+    data are scaled by the power of two 2^-e that puts ||B||_inf in [1/2, 1),
+    which changes no bit but the exponents, so no absolute floor (ARPACK's
+    own convergence floor included) depends on the scale of A.  B + s I,
+    s = 1e-6 ||B||_inf (1 for the zero pencil) added on the diagonal, is
+    factored once by `splu`, and ARPACK's shift-invert Lanczos (`eigsh`,
     sigma = -s) runs on that factorization from a fixed start vector.  The
     factorization eliminates the nodes in a multiple minimum degree order of
     the pattern of A + A^T (SuperLU's MMD_AT_PLUS_A), or, when `order` is
@@ -205,8 +209,8 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
     (value, vector, inverse, order)
         The eigenvalue and its D-normalized vector, inf and the zero vector
         when free = 0.  `inverse` is the factorization as the solve
-        r -> D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + s D)^{-1} r (no
-        deflation applied), a preconditioner for A, and `order` the
+        r -> 2^-e D^{-1/2} (B + s I)^{-1} D^{-1/2} r = (A + 2^e s D)^{-1} r
+        (no deflation applied), a preconditioner for A, and `order` the
         elimination order it used; both are None when nothing was factored.
     """
     n = matrix.shape[0]
@@ -236,7 +240,10 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
         shifted_inverse = order = None
     else:
         filled = np.flatnonzero(np.diff(matrix.indptr))  # ||B||_inf: the largest row sum of |B|
-        shift = 1e-6 * np.add.reduceat(np.abs(data), matrix.indptr[filled]).max(initial=0.0) + 1e-30
+        norm = np.add.reduceat(np.abs(data), matrix.indptr[filled]).max(initial=0.0)
+        exponent = np.frexp(norm)[1]  # B scaled exactly to a norm in [1/2, 1)
+        b.data = np.ldexp(b.data, -exponent)
+        shift = 1e-6 * np.ldexp(norm, -exponent) if norm else 1.0  # the zero pencil: any s > 0
         b.setdiag(b.diagonal() + shift)  # B + sI; given OPinv, eigsh reads only its shape
         # B + sI is symmetric positive definite: a symmetric fill-reducing
         # ordering with diagonal pivots needs no row interchanges
@@ -267,7 +274,7 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
             ) from exc
 
         def shifted_inverse(r):
-            return scale * solve(scale * r)
+            return np.ldexp(scale * solve(scale * r), -exponent)
 
     vector = vector * scale
     # the Rayleigh quotient, free of the back-transform's error and, with its

@@ -229,10 +229,17 @@ def test_poincare_full_mean_zero_inequality(rng):
 
 
 def test_poincare_flags_infinite_on_truncated_basis():
-    _, form = interval_setup(0.25)
-    empty = dataclasses.replace(nullspace(form), components=np.arange(0))
-    report = poincare_constant(form, empty, variant="full")
-    assert report.constant == np.inf
+    """A basis that spans too little, the two sublattices of the interleaved
+    form merged under one label, leaves their difference in the complement:
+    both Poincare constants are infinite."""
+    _, _, _, form = interleaved_setup()
+    basis = nullspace(form)
+    assert basis.dimension == 2
+    merged = dataclasses.replace(basis, labels=np.zeros_like(basis.labels))
+    assert merged.dimension == 1
+    for variant in ("full", "omega"):
+        assert np.isfinite(poincare_constant(form, basis, variant=variant).constant)
+        assert poincare_constant(form, merged, variant=variant).constant == np.inf
 
 
 def test_poincare_omega_matches_dense_oracle():

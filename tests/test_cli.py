@@ -1080,21 +1080,6 @@ def test_solution_table_matches_fmt_on_extreme_values():
     assert fileio.write_solution_table(u, domain, measure) == "\n".join(expected) + "\n"
 
 
-def test_matrix_coo_export(tmp_path):
-    from conftest import three_node_setup
-
-    _, _, _, form = three_node_setup()
-    path = tmp_path / "matrix.coo"
-    fileio.write_matrix_coo(form.matrix, str(path))
-    entries = {}
-    for line in path.read_text().splitlines():
-        i, j, v = line.split("\t")
-        entries[(int(i), int(j))] = float(v)
-    assert entries[(0, 0)] == 8.0
-    assert entries[(0, 1)] == -4.0
-    assert entries[(1, 0)] == entries[(0, 1)]
-
-
 def test_cli_import_leaves_scipy_spatial_out():
     # scipy.spatial pulls in scipy.special: about 0.1 s and 6 MB per process start
     src = os.path.dirname(os.path.dirname(os.path.abspath(nlbvp.__file__)))

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from nlbvp import assemble_form, unit_cube_grid
+from nlbvp import analysis, assemble_form, unit_cube_grid
 from nlbvp.errors import EigensolverFailure, NoConvergence
+from nlbvp.fileio import load_document
 from nlbvp.linalg import conjugate_gradient, fill_reducing_order, smallest_eigenpairs
 
 
@@ -86,6 +87,41 @@ def test_cg_iterates_scale_by_powers_of_two(rng):
         scaled, scaled_relres, scaled_iters = conjugate_gradient(a, np.ldexp(b, k), x0=np.ldexp(x0, k))
         assert np.array_equal(scaled, np.ldexp(x, k)), k
         assert (scaled_relres, scaled_iters) == (relres, iters), k
+
+
+def square_constants(k):
+    """The Friedrichs, full and Omega Poincare constants of the 17 x 17 stencil
+    document on the unit square (h = 1/16, the open square as Omega), its
+    coordinates and h times 2^k."""
+    n = 16
+    nodes = [[np.ldexp(i / n, k), np.ldexp(j / n, k)] for i in range(n + 1) for j in range(n + 1)]
+    doc = load_document(
+        {
+            "family": "stencil",
+            "dimension": 2,
+            "h": np.ldexp(1 / n, k),
+            "nodes": nodes,
+            "omega": [i * (n + 1) + j for i in range(1, n) for j in range(1, n)],
+        }
+    )
+    form = assemble_form(doc.kernel, doc.measure, doc.domain)
+    basis = analysis.nullspace(form)
+    return [
+        analysis.friedrichs_constant(form).constant,
+        analysis.poincare_constant(form, basis, "full").constant,
+        analysis.poincare_constant(form, basis, "omega").constant,
+    ]
+
+
+@pytest.mark.parametrize("k", [-250, -200, -60, -20, 60, 100, 200, 250])
+def test_eigensolver_constants_scale_by_powers_of_four(k):
+    """The eigensolver runs its pencil at unit scale, as CG runs its load:
+    with coordinates and h times 2^k every constant is 4^k times its value,
+    bit for bit.  An absolute shift floor swamped every eigenvalue at k = 100,
+    and an unscaled pencil stopped ARPACK early, on its absolute convergence
+    floor, for k from -60 down."""
+    base = square_constants(0)
+    assert square_constants(k) == [np.ldexp(c, 2 * k) for c in base]
 
 
 def test_cg_is_deterministic(rng):

@@ -46,6 +46,7 @@ from nlbvp.analysis import friedrichs_constant, max_principle_check
 from conftest import (
     couplings_separated,
     disconnected_setup,
+    interleaved_setup,
     interval_setup,
     quadrature_forms,
     quadrature_setups,
@@ -199,10 +200,15 @@ def test_neumann_gauge_freedom(rng):
 
 
 def test_neumann_requires_spectral_gap():
-    grid, form = interval_setup(0.25)
-    truncated = dataclasses.replace(nullspace(form), components=np.arange(0))
+    """The interleaved form's two components merged under one label: a basis
+    that spans too little is refused."""
+    _, _, domain, form = interleaved_setup()
+    basis = nullspace(form)
+    merged = dataclasses.replace(basis, labels=np.zeros_like(basis.labels))
+    problem = NeumannProblem(form, np.zeros(domain.m), np.zeros(domain.l))
+    assert solve_neumann(problem, basis).kind == "neumann"
     with pytest.raises(PoincareViolated):
-        solve_neumann(NeumannProblem(form, np.zeros(grid.m), np.zeros(grid.l)), truncated)
+        solve_neumann(problem, merged)
 
 
 # -- regularized ----------------------------------------------------------------
@@ -262,7 +268,8 @@ def gated_graphs(draw):
     """Symmetric weights W (each 0 or in [1e-3, 1]) coupling only nodes of
     the same block, so that components with no boundary node or with no c
     are common; masses in [0.5, 2], an interior set, interior c values (each
-    0 or in [1e-3, 1]) and which nullspace columns a truncated basis keeps."""
+    0 or in [1e-3, 1]) and the pair of nullspace labels a merged basis joins
+    (taken modulo the nullspace dimension)."""
     n = draw(st.integers(2, 12))
     block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     weights = np.zeros((n, n))
@@ -274,8 +281,8 @@ def gated_graphs(draw):
     masses = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
     omega = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     c = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=len(omega), max_size=len(omega)))
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return weights, masses, omega, np.array(c), np.array(keep)
+    pair = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    return weights, masses, omega, np.array(c), pair
 
 
 def dense_smallest(matrix, masses, complement=None):
@@ -299,7 +306,7 @@ def raises(error, solve):
 @settings(max_examples=150, deadline=None)
 @given(gated_graphs())
 def test_structural_gates_match_dense_eigenvalue_gates(graph):
-    weights, masses, omega, c, keep = graph
+    weights, masses, omega, c, pair = graph
     n = len(masses)
     measure = AtomicMeasure([[float(i)] for i in range(n)], masses)
     support = [
@@ -321,9 +328,11 @@ def test_structural_gates_match_dense_eigenvalue_gates(graph):
     singular = dense_smallest(form.omega_block.toarray(), form.mass_omega) <= omega_tol
     assert raises(FriedrichsViolated, lambda: solve_dirichlet(DirichletProblem(form, *zero))) == singular
 
-    # Neumann: the gap above a truncated basis, by deflation
-    truncated = dataclasses.replace(full, components=full.components[keep[: full.dimension]])
-    for basis in (full, truncated):
+    # Neumann: the gap above the basis and above it with a pair of labels merged, by deflation
+    first, second = (label % full.dimension for label in pair)
+    joined = np.where(full.labels == second, first, full.labels)
+    merged = dataclasses.replace(full, labels=np.unique(joined, return_inverse=True)[1])
+    for basis in (full, merged):
         complement = scipy.linalg.null_space((basis.vectors * np.sqrt(form.mass_diag)[:, None]).T)
         lam = dense_smallest(form.matrix.toarray(), form.mass_diag, complement)
         no_gap = lam is not None and lam <= basis.tolerance
@@ -476,7 +485,7 @@ def test_neumann_matches_dense_least_squares(loaded):
     scale = np.max(np.abs(w).T @ np.abs(mass * load))
     underflow = form.n * (1.0 + np.max(w, initial=0.0)) * np.finfo(float).smallest_subnormal
     assert abs(defect - np.max(np.abs(w.T @ (mass * load)))) <= rounding * scale + underflow
-    reached = np.isin(basis.components, basis.labels[:m])  # a component with no interior node stays
+    reached = np.isin(np.arange(basis.dimension), basis.labels[:m])  # a component with no interior node stays
     gram = w[:m, reached].T @ (mass[:m, None] * w[:m, reached])
     dense = load - w[:, reached] @ np.linalg.solve(gram, w[:m, reached].T @ (mass[:m] * load[:m]))
     assert np.max(np.abs(project_out_kernel(load, basis) - dense)) <= rounding
