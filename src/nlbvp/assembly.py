@@ -71,24 +71,25 @@ class AssembledForm:
 def assemble_form(kernel, measure, domain):
     """Assemble the energy form over the domain's interior/boundary ordering.
 
-    Refuses kernels whose symmetry defect exceeds ASSEMBLY_SYMMETRY_TOL or is
-    NaN, and, with a ValueError naming the node, kernels whose mass-weighted
-    weights or diagonal weight sums overflow, or whose diagonal entries a_ii
-    make 2n a_ii / m_i overflow: under that bound the mass-scaled quantities
-    of the spectral stage stay finite.
+    Refuses kernels whose symmetry defect exceeds ASSEMBLY_SYMMETRY_TOL times
+    the largest |W| entry or is NaN, and, with a ValueError naming the node,
+    kernels whose mass-weighted weights or diagonal weight sums overflow, or
+    whose diagonal entries a_ii make 2n a_ii / m_i overflow: under that bound
+    the mass-scaled quantities of the spectral stage stay finite.
     Interior-interior pair coefficients average the two ordered kernel
     weights, which reproduces them exactly for symmetric kernels and keeps
     the matrix symmetric entry-wise for near-symmetric ones.
     """
     defect = symmetry_defect(kernel, measure)
-    if not defect <= ASSEMBLY_SYMMETRY_TOL:
+    weights = (sp.diags(measure.masses) @ kernel.matrix).tocsr()  # W = diag(mass) K
+    largest = np.abs(weights.data).max(initial=0.0)
+    if not defect <= ASSEMBLY_SYMMETRY_TOL * largest:
         raise AsymmetricKernel(
-            f"kernel symmetry defect {defect:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL}"
+            f"symmetry defect {defect:.3e} exceeds {ASSEMBLY_SYMMETRY_TOL} x max|W| {largest:.3e}"
         )
     m, n = domain.m, domain.n
-    half = kernel.matrix[domain.omega]  # H: these rows of W, renumbered and filtered
+    half = weights[domain.omega]  # H: these rows of W, renumbered and filtered
     cols = domain._pos[half.indices]
-    half.data *= np.repeat(measure.masses[domain.omega], np.diff(half.indptr))
     half.data *= np.where(cols < m, 0.5, 1.0) * (cols >= 0)  # an exterior column becomes 0
     half.indices[:] = np.maximum(cols, 0)
     half.eliminate_zeros()

@@ -265,7 +265,8 @@ def _parse_nodes(data, dimension):
 def _integers(values, name, least=0):
     """A DocumentError naming `name` and the first entry of `values` that is
     not an integral number >= `least` (a bool is none)."""
-    for value in values:
+    plain = set(map(type, values)) <= {int} and min(values, default=least) >= least
+    for value in () if plain else values:  # all plain ints >= least: no entry to name
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 or value < least:
             raise DocumentError(f"{name}: {value!r} is not an integer >= {least}")
 

@@ -36,6 +36,8 @@ REFRESH = 50
 STALL_REFRESHES = 4
 # relative Ritz residual at which shift-invert Lanczos stops
 EIGEN_TOL = 1e-10
+# SuperLU's one configuration, for every factorization and the ordering pass (see README)
+SUPERLU = dict(diag_pivot_thresh=0.0, relax=3, panel_size=12, options={"SymmetricMode": True})
 
 
 def conjugate_gradient(matrix, rhs, tol=1e-12, x0=None, maxiter=None, preconditioner=None):
@@ -163,8 +165,7 @@ def fill_reducing_order(matrix):
     matrix = sp.csr_matrix(matrix)
     pattern = sp.csr_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr), matrix.shape)
     dominant = (sp.diags(np.diff(matrix.indptr) + 1.0) - pattern).tocsc()
-    pivots = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}  # as in the eigensolver
-    ilu = spla.spilu(dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A", **pivots)
+    ilu = spla.spilu(dominant, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A", **SUPERLU)
     return np.argsort(ilu.perm_c)
 
 
@@ -245,14 +246,11 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
         b.data = np.ldexp(b.data, -exponent)
         shift = 1e-6 * np.ldexp(norm, -exponent) if norm else 1.0  # the zero pencil: any s > 0
         b.setdiag(b.diagonal() + shift)  # B + sI; given OPinv, eigsh reads only its shape
-        # B + sI is symmetric positive definite: a symmetric fill-reducing
-        # ordering with diagonal pivots needs no row interchanges
-        pivots = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
         if order is None:
-            factor = spla.splu(b, permc_spec="MMD_AT_PLUS_A", **pivots)
+            factor = spla.splu(b, permc_spec="MMD_AT_PLUS_A", **SUPERLU)
             order, solve = np.argsort(factor.perm_c), factor.solve
         else:  # B + sI permuted symmetrically, then factored in that order
-            factor = spla.splu(b[order][:, order], permc_spec="NATURAL", **pivots)
+            factor = spla.splu(b[order][:, order], permc_spec="NATURAL", **SUPERLU)
 
             def solve(x):
                 y = np.empty_like(x)

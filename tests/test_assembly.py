@@ -34,6 +34,7 @@ from nlbvp.errors import (
     NodeNotInGamma,
     NodeNotInOmega,
 )
+from nlbvp.fileio import radial_density
 
 from conftest import (
     interval_setup,
@@ -97,6 +98,33 @@ def test_assembly_rejects_asymmetric_kernel():
     domain = nonlocal_boundary(kernel, [0], measure)
     with pytest.raises(AsymmetricKernel):
         assemble_form(kernel, measure, domain)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+def test_assembly_rejects_an_asymmetric_kernel_at_every_weight_scale(scale):
+    """K(1,0) = 3 K(0,1) is a defect of 2/3 of the largest weight at every
+    scale; an absolute gate let it through below scale 5e-11 and assembled
+    the interior row's 3 scale for the (1,0) coupling."""
+    measure = AtomicMeasure([[0.0], [1.0], [2.0]])
+    kernel = TransitionKernel([[(1, scale)], [(0, 3 * scale), (2, scale)], [(1, scale)]])
+    domain = nonlocal_boundary(kernel, [1], measure)
+    with pytest.raises(AsymmetricKernel, match=r"exceeds 1e-10 x max\|W\|"):
+        assemble_form(kernel, measure, domain)
+
+
+@pytest.mark.parametrize("mass_scale", [1.0, 1e6, 1e9])
+def test_assembly_accepts_a_symmetric_kernel_at_every_mass_scale(mass_scale):
+    """A radial quadrature kernel is symmetric but for the rounding of
+    m_x (gamma m_y) against m_y (gamma m_x): a defect of a few ulps of the
+    largest weight (4.9e-4 at masses of 1e6), which an absolute gate refused."""
+    points = np.linspace(0.0, 1.0, 41)[:, None]
+    masses = np.random.default_rng(0).uniform(0.5, 2.0, 41) * mass_scale
+    measure = AtomicMeasure(points, masses)
+    kernel = quadrature_kernel(radial_density("exp(-r*r)"), 0.1, measure)
+    domain = nonlocal_boundary(kernel, list(range(4, 37)), measure)
+    form = assemble_form(kernel, measure, domain)
+    assert form.symmetry_defect == symmetry_defect(kernel, measure) > 0.0
+    assert (form.matrix - form.matrix.T).nnz == 0
 
 
 def test_assembly_rejects_a_nan_symmetry_defect():

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlbvp
-from nlbvp import cli, fileio
+from nlbvp import cli, fileio, linalg
 from nlbvp.errors import DocumentError, EigensolverFailure
 from nlbvp.fileio import load_document, gamma_values_from_table
 
@@ -647,6 +648,9 @@ def square_document(n_axis, family):
         ("diagnose quadrature", ["MMD_AT_PLUS_A"] * 3),
         # per grid: the Friedrichs pencil orders P and the full pencil reuses it
         ("bench", ["MMD_AT_PLUS_A", "NATURAL"] * 2),
+        # per grid, on two threads: the ordering pass reads P's order from its
+        # pattern while the Friedrichs pencil orders P itself (calls sorted)
+        ("bench concurrent", sorted(["MMD_AT_PLUS_A", "NATURAL", "spilu MMD_AT_PLUS_A"] * 2)),
     ],
 )
 def test_pencils_of_one_form_share_one_ordering(tmp_path, monkeypatch, capsys, command, expected):
@@ -654,23 +658,39 @@ def test_pencils_of_one_form_share_one_ordering(tmp_path, monkeypatch, capsys, c
     Friedrichs pencil's multiple-minimum-degree ordering (MMD_AT_PLUS_A)
     serves the Poincare pencils, factored in it (NATURAL): one ordering per
     stencil `diagnose` and per `bench` grid.  A quadrature `diagnose` runs
-    three, one per pencil."""
-    orderings = []
-    factor = scipy.sparse.linalg.splu
+    three, one per pencil.  Every factorization and the ordering pass's
+    incomplete one run under SuperLU's one configuration, `linalg.SUPERLU`."""
+    orderings, configurations = [], []
+    factor, incomplete = scipy.sparse.linalg.splu, scipy.sparse.linalg.spilu
+    ordered = threading.Event()  # the concurrent bench's Friedrichs factor waits for the ordering
 
     def spy(matrix, permc_spec, **kwargs):
+        if command == "bench concurrent" and permc_spec == "MMD_AT_PLUS_A":
+            assert ordered.wait(timeout=60)
+            ordered.clear()
         orderings.append(permc_spec)
+        configurations.append(kwargs)
         return factor(matrix, permc_spec=permc_spec, **kwargs)
 
+    def ordering_spy(matrix, drop_tol, fill_factor, permc_spec, **kwargs):
+        orderings.append(f"spilu {permc_spec}")
+        configurations.append(kwargs)
+        ordered.set()
+        return incomplete(matrix, drop_tol, fill_factor, permc_spec=permc_spec, **kwargs)
+
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-    if command == "bench":
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", ordering_spy)
+    if command == "bench concurrent":
+        monkeypatch.setattr(cli, "CONCURRENT_MIN_NODES", 0)
+    if command.startswith("bench"):
         argv = ["bench", "--d", "3", "--h", "1/4,1/8"]
     else:
         document = square_document(24, command.split()[1])
         argv = ["diagnose", write_doc(tmp_path, "square.json", document)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert orderings == expected
+    assert (sorted(orderings) if command == "bench concurrent" else orderings) == expected
+    assert configurations == [linalg.SUPERLU] * len(orderings)
 
 
 def test_diagnose_zero_kernel(tmp_path, capsys):

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from nlbvp import analysis, assemble_form, unit_cube_grid
 from nlbvp.errors import EigensolverFailure, NoConvergence
 from nlbvp.fileio import load_document
-from nlbvp.linalg import conjugate_gradient, fill_reducing_order, smallest_eigenpairs
+from nlbvp.linalg import SUPERLU, conjugate_gradient, fill_reducing_order, smallest_eigenpairs
 
 
 def random_spd(n, rng):
@@ -307,10 +307,8 @@ _CUBE_FORM = assemble_form(_CUBE.kernel, _CUBE.measure, _CUBE.domain)
 def test_fill_reducing_order_is_the_order_superlu_factors_in(matrix):
     """The order read from the pattern is the one SuperLU's symmetric-mode LU
     eliminates in when it orders a matrix of that pattern plus the diagonal
-    itself, as `smallest_eigenpairs` does."""
+    itself, as `smallest_eigenpairs` does, under the same configuration."""
     shift = abs(matrix).sum(axis=1).max() + 1.0  # B = A + shift I: diagonally dominant
     b = sp.csc_matrix(matrix + shift * sp.identity(matrix.shape[0]))
-    factor = scipy.sparse.linalg.splu(
-        b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-    )
+    factor = scipy.sparse.linalg.splu(b, permc_spec="MMD_AT_PLUS_A", **SUPERLU)
     assert np.array_equal(fill_reducing_order(matrix), np.argsort(factor.perm_c))
