@@ -48,9 +48,8 @@ class AssembledForm:
     mass_omega   : node masses restricted to the interior block
     symmetry_defect : the kernel's symmetry defect, checked at assembly
     nullspace    : the default-tolerance `analysis.nullspace` basis, once computed
-    shared_order : the elimination order of A_oo's pattern, once computed on
-                   a form whose spectral pencils share that pattern (see
-                   `analysis`)
+    shared_order : the elimination order of A_oo's pattern, once computed on a
+                   form whose spectral pencils share that pattern (see `analysis`)
     """
 
     matrix: sp.csr_matrix
@@ -81,7 +80,8 @@ def assemble_form(kernel, measure, domain):
     the matrix symmetric entry-wise for near-symmetric ones.
     """
     defect = symmetry_defect(kernel, measure)
-    weights = (sp.diags(measure.masses) @ kernel.matrix).tocsr()  # W = diag(mass) K
+    weights = kernel.matrix.copy()  # W = diag(mass) K, each row's data scaled by its mass
+    weights.data *= np.repeat(measure.masses, np.diff(weights.indptr))
     largest = np.abs(weights.data).max(initial=0.0)
     if not defect <= ASSEMBLY_SYMMETRY_TOL * largest:
         raise AsymmetricKernel(
