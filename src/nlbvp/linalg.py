@@ -184,7 +184,8 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
     own convergence floor included) depends on the scale of A.  B + s I,
     s = 1e-6 ||B||_inf (1 for the zero pencil) added on the diagonal, is
     factored once by `splu`, and ARPACK's shift-invert Lanczos (`eigsh`,
-    sigma = -s) runs on that factorization from a fixed start vector.  The
+    sigma = -s) runs on that factorization from a fixed start vector and,
+    should its Krylov space turn invariant, restarts from a fixed seed.  The
     factorization eliminates the nodes in a multiple minimum degree order of
     the pattern of A + A^T (SuperLU's MMD_AT_PLUS_A), or, when `order` is
     given (node ids, the first eliminated first), it factors B + s I permuted
@@ -264,7 +265,8 @@ def smallest_eigenpairs(matrix, masses, deflate=None, order=None):
         start = project(np.random.default_rng(0).standard_normal(n))
         try:
             vector = spla.eigsh(
-                b, k=1, sigma=-shift, OPinv=inverse, v0=start, ncv=min(free, 6), tol=EIGEN_TOL
+                b, k=1, sigma=-shift, OPinv=inverse, v0=start, ncv=min(free, 6), tol=EIGEN_TOL,
+                rng=0,
             )[1].ravel()
         except spla.ArpackError as exc:
             raise EigensolverFailure(

@@ -242,6 +242,21 @@ def test_smallest_eigenpairs_agree_across_elimination_orders():
     assert reversed_[0] == pytest.approx(own[0], rel=1e-15, abs=0.0)
 
 
+def test_smallest_eigenpairs_repeat_their_bits_on_a_multiple_eigenvalue():
+    """On A = 200 I every vector is an eigenvector: Lanczos finds its Krylov
+    space invariant at once and ARPACK restarts from a new vector, drawn from
+    a seeded generator, so every call returns the same bits.  Unseeded, the
+    restart came from the operating system's entropy, and 20 calls in one
+    process returned four values, from 199.99999999999994 to
+    200.00000000000003."""
+    a = sp.csr_matrix(200.0 * np.eye(4))
+    first = smallest_eigenpairs(a, np.ones(4))
+    assert first[0] == 200.0 and first[2] is not None  # free = 4: the Lanczos path
+    for _ in range(20):
+        value, vector, _, _ = smallest_eigenpairs(a, np.ones(4))
+        assert value == 200.0 and np.array_equal(vector, first[1])
+
+
 def test_smallest_eigenpairs_singular_matrix():
     # path Laplacian: eigenvalue 0 with constant eigenvector; deflating the
     # constants leaves the next eigenvalue, 1, on the dense path (free = 2)
